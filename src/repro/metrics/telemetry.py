@@ -1,10 +1,11 @@
 """Run telemetry: scrape the kernel into one versioned JSON artifact.
 
 A :class:`TelemetrySampler` attaches to a kernel the way a tracer does
-(:func:`attach` / :func:`detach`, zero-cost-when-disabled: the epoch
-loop tests the module-level :data:`enabled` flag before anything else,
-and ``repro bench touch`` gates the armed-but-silent state under the
-same <5 % ceiling as tracing).  At every epoch boundary (subsampled by
+(:func:`attach` / :func:`detach` fill and clear the kernel's
+``telemetry`` slot; zero-cost-when-disabled: the epoch loop tests that
+slot against ``None`` before anything else, and ``repro bench touch``
+gates the attached-but-silent state under the same <5 % ceiling as
+tracing).  At every epoch boundary (subsampled by
 ``every_epochs``) it refreshes a :class:`~repro.metrics.registry.MetricsRegistry`
 from four sources —
 
@@ -22,10 +23,11 @@ versioned artifact ``repro report`` consumes and the sweep cache
 persists beside every cell result.
 
 The sweep runner captures telemetry without the adapters knowing:
-:func:`start_capture` arms a module flag, ``Kernel.__init__`` calls
-:func:`autoattach` while it is armed (attaching a small, warn-free
-tracer plus a sampler to every kernel the cell builds), and
-:func:`end_capture` turns the samplers into artifacts.
+:func:`start_capture` opens a capture, ``Kernel.__init__`` calls
+:func:`autoattach`, which while a capture is open attaches a small,
+warn-free tracer, an audit log, a heat monitor and a sampler to every
+kernel the cell builds, and :func:`end_capture` turns the samplers into
+artifacts.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: artifact schema version; bump when the RunTelemetry shape changes.
 TELEMETRY_VERSION = 1
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`
-#: (mirrors ``repro.trace.enabled``: the epoch loop tests this module
-#: attribute first, so a kernel with no sampler pays one bool check).
-enabled: bool = False
-
-#: Number of kernels with a sampler currently attached.
-_attached: int = 0
 
 #: vmstat keys that are point-in-time state, not cumulative counters.
 VMSTAT_GAUGES = frozenset({"trace_attached", "audit_attached"})
@@ -473,86 +467,54 @@ class TelemetrySampler:
 
 def attach(kernel: "Kernel", every_epochs: int = 1,
            registry: MetricsRegistry | None = None) -> TelemetrySampler:
-    """Attach a :class:`TelemetrySampler` to ``kernel``; arm the flag.
+    """Fill ``kernel``'s ``telemetry`` slot with a :class:`TelemetrySampler`.
 
     Idempotent: returns the existing sampler if one is attached.
     """
-    global enabled, _attached
-    if kernel.telemetry is not None:
-        return kernel.telemetry
-    sampler = TelemetrySampler(kernel, every_epochs, registry)
-    kernel.telemetry = sampler
-    _attached += 1
-    enabled = True
-    return sampler
+    if kernel.telemetry is None:
+        kernel.telemetry = TelemetrySampler(kernel, every_epochs, registry)
+    return kernel.telemetry
 
 
 def detach(kernel: "Kernel") -> TelemetrySampler | None:
-    """Detach ``kernel``'s sampler; disarm the flag when none remain."""
-    global enabled, _attached
-    sampler = kernel.telemetry
-    if sampler is None:
-        return None
-    kernel.telemetry = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
+    """Clear ``kernel``'s ``telemetry`` slot; returns the detached sampler."""
+    sampler, kernel.telemetry = kernel.telemetry, None
     return sampler
-
-
-def reset() -> None:
-    """Force the module back to the no-sampler state (test isolation)."""
-    global enabled, _attached, _capture_samplers, capturing
-    enabled = False
-    _attached = 0
-    _capture_samplers = None
-    capturing = False
 
 
 # ---------------------------------------------------------------------- #
 # sweep capture: telemetry without the adapters knowing                   #
 # ---------------------------------------------------------------------- #
 
-#: samplers auto-attached since :func:`start_capture` (None = not capturing).
-_capture_samplers: Optional[list[TelemetrySampler]] = None
-
-#: armed by :func:`start_capture`; ``Kernel.__init__`` checks this flag
-#: (one module-attribute test per kernel construction — negligible).
-capturing: bool = False
+#: samplers auto-attached since :func:`start_capture` (None = no capture).
+_capture: Optional[list[TelemetrySampler]] = None
 
 
-def start_capture(every_epochs: int = CAPTURE_EVERY_EPOCHS) -> None:
-    """Arm auto-attachment for every kernel built until :func:`end_capture`."""
-    global _capture_samplers, capturing, _capture_every
-    _capture_samplers = []
-    _capture_every = every_epochs
-    capturing = True
-
-
-_capture_every: int = CAPTURE_EVERY_EPOCHS
+def start_capture() -> None:
+    """Attach observers to every kernel built until :func:`end_capture`."""
+    global _capture
+    _capture = []
 
 
 def autoattach(kernel: "Kernel") -> None:
-    """Called by ``Kernel.__init__`` while a capture is armed.
+    """Called by ``Kernel.__init__``; a no-op unless a capture is open.
 
     Attaches the tracer, the decision audit and the heat monitor
     *before* the sampler so the sampler sees them all and declares
     their metric families.
     """
-    if _capture_samplers is None:
+    if _capture is None:
         return
     trace.attach(kernel, CAPTURE_TRACE_CAPACITY, warn_on_drop=False)
     audit.attach(kernel)
     heat.attach(kernel)
-    _capture_samplers.append(attach(kernel, every_epochs=_capture_every))
+    _capture.append(attach(kernel, every_epochs=CAPTURE_EVERY_EPOCHS))
 
 
 def end_capture(meta: dict | None = None) -> list[RunTelemetry]:
-    """Disarm capture; detach and convert every sampler to an artifact."""
-    global _capture_samplers, capturing
-    samplers, _capture_samplers = _capture_samplers, None
-    capturing = False
+    """Close the capture; detach and convert every sampler to an artifact."""
+    global _capture
+    samplers, _capture = _capture, None
     artifacts: list[RunTelemetry] = []
     for sampler in samplers or ():
         artifacts.append(sampler.telemetry(meta))

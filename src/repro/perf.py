@@ -18,6 +18,7 @@ paper benchmarks are retuned.
 from __future__ import annotations
 
 import cProfile
+import contextlib
 import gc
 import io
 import pstats
@@ -69,16 +70,42 @@ class _TouchBench(Workload):
         return self.npages * 4096
 
 
+@contextlib.contextmanager
+def _observers(kernel, trace_mode: str):
+    """Hold ``kernel``'s observer slots in the state ``trace_mode`` names.
+
+    ``"off"`` leaves every slot empty.  Otherwise the tracer, telemetry
+    sampler, decision audit and heat monitor are attached for the
+    duration of the block, with each instance gate set to
+    ``trace_mode == "on"``, and detached afterwards.
+    """
+    if trace_mode == "off":
+        yield
+        return
+    on = trace_mode == "on"
+    trace.attach(kernel).enabled = on
+    telemetry.attach(kernel).enabled = on
+    audit.attach(kernel).enabled = on
+    heat.attach(kernel).enabled = on
+    try:
+        yield
+    finally:
+        trace.detach(kernel)
+        telemetry.detach(kernel)
+        audit.detach(kernel)
+        heat.detach(kernel)
+
+
 def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") -> float:
     """One timed run; returns wall seconds.
 
     ``trace_mode`` selects the observability state under test: ``"off"``
     (no tracer, sampler, audit or heat monitor — the production default),
     ``"disabled"`` (tracer, telemetry sampler, decision audit *and*
-    spatial heat monitor attached, module flags armed, but every
-    instance gate off so each
-    guard is evaluated and rejected — the state the <5 % overhead gate
-    measures) or ``"on"`` (full emission, sampling and auditing).
+    spatial heat monitor attached, but every instance gate off so each
+    guard finds a filled slot and is rejected at ``.enabled`` — the
+    state the <5 % overhead gate measures) or ``"on"`` (full emission,
+    sampling and auditing).
     """
     reset_sim_state()
     # make_kernel takes the *full-scale* size; 2x headroom over the region
@@ -86,28 +113,13 @@ def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") 
     scale = Scale(1 / 128)
     kernel = make_kernel(2 * npages * 4096 / scale.factor, policy, scale)
     kernel.batched_faults = batched
-    if trace_mode != "off":
-        tracer = trace.attach(kernel)
-        tracer.enabled = trace_mode == "on"
-        sampler = telemetry.attach(kernel)
-        sampler.enabled = trace_mode == "on"
-        log = audit.attach(kernel)
-        log.enabled = trace_mode == "on"
-        monitor = heat.attach(kernel)
-        monitor.enabled = trace_mode == "on"
-    bench = _TouchBench(npages)
-    run = kernel.spawn(bench)
-    kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
-    try:
+    with _observers(kernel, trace_mode):
+        bench = _TouchBench(npages)
+        run = kernel.spawn(bench)
+        kernel.mmap(run.proc, bench.mmap_bytes(), "heap")
         t0 = time.perf_counter()
         kernel.run(max_epochs=20000)
         elapsed = time.perf_counter() - t0
-    finally:
-        if trace_mode != "off":
-            trace.detach(kernel)
-            telemetry.detach(kernel)
-            audit.detach(kernel)
-            heat.detach(kernel)
     if not run.finished:
         raise RuntimeError("touch benchmark did not finish within the epoch cap")
     return elapsed
@@ -302,25 +314,10 @@ def _run_epoch_once(policy: str, regions: int, epochs: int, vectorized: bool,
     but gated off) or ``"on"``.
     """
     kernel, _run = _epoch_setup(policy, regions, epochs, vectorized)
-    if trace_mode != "off":
-        tracer = trace.attach(kernel)
-        tracer.enabled = trace_mode == "on"
-        sampler = telemetry.attach(kernel)
-        sampler.enabled = trace_mode == "on"
-        log = audit.attach(kernel)
-        log.enabled = trace_mode == "on"
-        monitor = heat.attach(kernel)
-        monitor.enabled = trace_mode == "on"
-    try:
+    with _observers(kernel, trace_mode):
         t0 = time.perf_counter()
         kernel.run_epochs(epochs)
         return time.perf_counter() - t0
-    finally:
-        if trace_mode != "off":
-            trace.detach(kernel)
-            telemetry.detach(kernel)
-            audit.detach(kernel)
-            heat.detach(kernel)
 
 
 def _scan_speedup(policy: str, regions: int, iters: int = 30) -> float:

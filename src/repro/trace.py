@@ -9,10 +9,12 @@ per-subsystem time-attribution table (:func:`attribution`) — a free
 generalisation of the paper's Tables 1 and 8.
 
 Zero-cost-when-disabled contract: every emission site is guarded by the
-module-level :data:`enabled` flag *first*, so with no tracer attached the
-only per-event cost is one global-bool test (the analogue of a nop-patched
-static branch).  ``repro bench touch`` gates this: a tracer attached with
-``tracer.enabled = False`` must cost < 5 % over no tracer at all.
+kernel's ``trace`` slot *first* — ``(tp := kernel.trace) is not None and
+tp.enabled`` — so with no tracer attached the only per-event cost is one
+attribute load and a ``None`` test (the analogue of a nop-patched static
+branch).  The slot is the only record of attachment; there is no
+module-level state.  ``repro bench touch`` gates this: a tracer attached
+with ``tracer.enabled = False`` must cost < 5 % over no tracer at all.
 
 Usage::
 
@@ -41,14 +43,6 @@ from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-
-#: Global master switch, managed by :func:`attach` / :func:`detach`.
-#: Emission sites test this module attribute before anything else, so a
-#: kernel with no tracer pays a single bool check per potential event.
-enabled: bool = False
-
-#: Number of kernels with a tracer currently attached (drives ``enabled``).
-_attached: int = 0
 
 #: Default ring-buffer capacity (events kept before drops start).
 DEFAULT_CAPACITY = 200_000
@@ -250,8 +244,7 @@ class Tracer:
     dropped** (and counted in :attr:`dropped`) — the per-kind counters,
     span totals and histograms keep updating, so :meth:`attribution`
     remains exact regardless of drops.  ``consumers`` receive every event
-    (drops included) and back live consumers such as
-    :class:`repro.metrics.events.EventLog`.
+    (drops included).
     """
 
     def __init__(self, kernel: "Kernel", capacity: int = DEFAULT_CAPACITY,
@@ -354,46 +347,26 @@ class Tracer:
 
 def attach(kernel: "Kernel", capacity: int = DEFAULT_CAPACITY,
            warn_on_drop: bool = True) -> Tracer:
-    """Attach a :class:`Tracer` to ``kernel`` and arm the global flag.
+    """Attach a :class:`Tracer` to ``kernel`` (fill its ``trace`` slot).
 
     Returns the kernel's existing tracer unchanged if one is already
     attached (re-attachment is idempotent).  ``warn_on_drop=False``
     silences the one-shot ring-buffer-full warning (telemetry capture
     uses a deliberately small buffer and relies on the exact counters).
     """
-    global enabled, _attached
-    if kernel.trace is not None:
-        return kernel.trace
-    tracer = Tracer(kernel, capacity, warn_on_drop)
-    kernel.trace = tracer
-    _attached += 1
-    enabled = True
-    return tracer
+    if kernel.trace is None:
+        kernel.trace = Tracer(kernel, capacity, warn_on_drop)
+    return kernel.trace
 
 
 def detach(kernel: "Kernel") -> Tracer | None:
-    """Detach ``kernel``'s tracer; disarm the flag when none remain.
+    """Clear ``kernel``'s ``trace`` slot.
 
     Returns the detached tracer (its buffered events stay readable), or
     None if the kernel had no tracer.
     """
-    global enabled, _attached
-    tracer = kernel.trace
-    if tracer is None:
-        return None
-    kernel.trace = None
-    _attached -= 1
-    if _attached <= 0:
-        _attached = 0
-        enabled = False
+    tracer, kernel.trace = kernel.trace, None
     return tracer
-
-
-def reset() -> None:
-    """Force the module back to the no-tracer state (test isolation)."""
-    global enabled, _attached
-    enabled = False
-    _attached = 0
 
 
 # ---------------------------------------------------------------------- #

@@ -4,22 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import audit, heat, trace
 from repro.core.hawkeye import HawkEyePolicy
-from repro.metrics import telemetry
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import Linux4KPolicy, LinuxTHPPolicy
 from repro.units import MB
-
-
-@pytest.fixture(autouse=True)
-def _reset_trace():
-    """Disarm the global trace/telemetry/audit/heat flags after every test."""
-    yield
-    trace.reset()
-    telemetry.reset()
-    audit.reset()
-    heat.reset()
 
 
 def small_config(mem_mb: int = 64, **overrides) -> KernelConfig:

@@ -72,8 +72,8 @@ def test_attach_backfills_preexisting_allocations():
     rec = log.ledger.describe(frame)
     assert rec["live"] and rec["pid"] == proc.pid
     assert rec["site"] == "preexisting"
-    audit.detach(kernel)
-    assert not audit.enabled
+    assert audit.detach(kernel) is log
+    assert kernel.audit is None and kernel.frames.ledger is None
 
 
 # --------------------------------------------------------------------- #

@@ -24,13 +24,13 @@ def _run(kernel, epochs=12):
 # --------------------------------------------------------------------- #
 
 
-def test_attach_arms_flag_and_is_idempotent(kernel4k):
-    assert telemetry.enabled is False
+def test_attach_fills_slot_and_is_idempotent(kernel4k):
+    assert kernel4k.telemetry is None
     sampler = telemetry.attach(kernel4k, every_epochs=2)
-    assert telemetry.enabled is True
+    assert kernel4k.telemetry is sampler
     assert telemetry.attach(kernel4k) is sampler
     assert telemetry.detach(kernel4k) is sampler
-    assert telemetry.enabled is False
+    assert kernel4k.telemetry is None
     assert telemetry.detach(kernel4k) is None
 
 
@@ -129,30 +129,35 @@ def test_artifact_without_tracer_has_empty_attribution(kernel4k):
 
 
 def test_capture_autoattaches_new_kernels():
-    telemetry.start_capture(every_epochs=2)
+    telemetry.start_capture()
     try:
         kernel = Kernel(small_config(), Linux4KPolicy)
         assert kernel.telemetry is not None
+        assert kernel.telemetry.every_epochs == telemetry.CAPTURE_EVERY_EPOCHS
         assert kernel.trace is not None      # small, warn-free capture tracer
         assert kernel.trace.capacity == telemetry.CAPTURE_TRACE_CAPACITY
+        assert kernel.audit is not None and kernel.heat is not None
         _run(kernel, epochs=6)
     finally:
         artifacts = telemetry.end_capture({"cell_id": "cap"})
     assert len(artifacts) == 1
     assert artifacts[0].meta["cell_id"] == "cap"
     assert artifacts[0].scrapes
-    assert telemetry.capturing is False
     assert kernel.telemetry is None
     assert kernel.trace is None
+    assert kernel.audit is None and kernel.heat is None
     # kernels built after end_capture are untouched
     after = Kernel(small_config(), Linux4KPolicy)
     assert after.telemetry is None
 
 
-def test_reset_clears_capture_state(kernel4k):
+def test_end_capture_closes_capture():
     telemetry.start_capture()
-    telemetry.attach(kernel4k)
-    telemetry.reset()
-    assert telemetry.enabled is False
-    assert telemetry.capturing is False
+    try:
+        kernel = Kernel(small_config(), Linux4KPolicy)
+    finally:
+        artifacts = telemetry.end_capture()
+    assert len(artifacts) == 1 and kernel.telemetry is None
+    # the capture is closed: a second end_capture finds nothing to convert
     assert telemetry.end_capture() == []
+    assert Kernel(small_config(), Linux4KPolicy).telemetry is None

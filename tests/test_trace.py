@@ -12,17 +12,15 @@ from tests.test_fault import make_proc
 
 
 # --------------------------------------------------------------------- #
-# attachment and the zero-cost flag                                      #
+# attachment: the kernel slot is the only record                        #
 # --------------------------------------------------------------------- #
 
 
-def test_attach_arms_flag_and_detach_disarms(kernel4k):
-    assert trace.enabled is False
+def test_attach_fills_slot_and_detach_clears_it(kernel4k):
+    assert kernel4k.trace is None
     tracer = trace.attach(kernel4k)
-    assert trace.enabled is True
     assert kernel4k.trace is tracer
     assert trace.detach(kernel4k) is tracer
-    assert trace.enabled is False
     assert kernel4k.trace is None
 
 
@@ -31,18 +29,22 @@ def test_attach_is_idempotent(kernel4k):
     assert trace.attach(kernel4k) is tracer
 
 
-def test_flag_stays_armed_while_any_kernel_traced(kernel4k, kernel_thp):
+def test_detach_leaves_other_kernels_tracing(kernel4k, kernel_thp):
     trace.attach(kernel4k)
-    trace.attach(kernel_thp)
+    other = trace.attach(kernel_thp)
     trace.detach(kernel4k)
-    assert trace.enabled is True
+    assert kernel4k.trace is None and kernel_thp.trace is other
+    before = sum(other.counts.values())
+    proc, vma = make_proc(kernel_thp)
+    kernel_thp.fault(proc, vma.start)
+    assert sum(other.counts.values()) > before
     trace.detach(kernel_thp)
-    assert trace.enabled is False
+    assert kernel_thp.trace is None
 
 
 def test_detach_without_tracer_is_noop(kernel4k):
     assert trace.detach(kernel4k) is None
-    assert trace.enabled is False
+    assert kernel4k.trace is None
 
 
 def test_no_tracer_emits_nothing(kernel4k):
