@@ -15,7 +15,9 @@ Examples::
     python -m repro why redis-fig1 --point promote --limit 10
     python -m repro audit xsbench --json
     python -m repro numa --policy hawkeye-g --nodes 2
+    python -m repro fleet fleet-smoke:hawkeye-g --json
     python -m repro sweep run tab1 tab8 --jobs 4
+    python -m repro sweep run --scenario examples/scenarios/smoke.yaml
     python -m repro sweep status
 
 ``run`` executes one workload under one policy and prints a summary plus
@@ -30,9 +32,12 @@ percentiles — live, or aggregated from a sweep cache; ``pagemap`` /
 ``why`` / ``audit`` run a workload with the decision-provenance audit
 attached and answer, respectively, *where is this memory and where did
 it come from*, *why did the policy (not) act on this region*, and *how
-did candidates funnel into actions*; ``sweep`` drives
-experiment grids through the cached, fanned-out sweep runner
-(``repro.runner``) with per-cell crash isolation and resume.
+did candidates funnel into actions*; ``numa`` and ``fleet`` run
+registry cells (``repro.runner.registry``) and print their placement
+and per-class QoS tables; ``sweep`` drives experiment grids, and
+scenario files registered with ``--scenario``, through the cached,
+fanned-out sweep runner (``repro.runner``) with per-cell crash
+isolation and resume; ``scenario`` validates and lists scenario files.
 """
 
 from __future__ import annotations
@@ -142,6 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only events at or after this simulated second")
         p.add_argument("--until", type=float, default=None,
                        help="only events before this simulated second")
+
+    def trace_reports(p):
         p.add_argument("--summary", action="store_true",
                        help="print the per-subsystem time-attribution table")
         p.add_argument("--hist", action="store_true",
@@ -165,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "trace (Perfetto counter tracks after "
                                   "'trace export --chrome')")
     trace_filters(trace_run_p)
+    trace_reports(trace_run_p)
 
     trace_view_p = trace_sub.add_parser(
         "view", help="filter and summarise a recorded JSONL trace")
@@ -172,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_view_p.add_argument("--limit", type=int, default=20,
                               help="events to print (default 20; 0 = none)")
     trace_filters(trace_view_p)
+    trace_reports(trace_view_p)
 
     trace_export_p = trace_sub.add_parser(
         "export", help="convert a recorded JSONL trace to another format")
@@ -181,20 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(chrome://tracing, ui.perfetto.dev)")
     trace_export_p.add_argument("--out", default=None,
                                 help="output path (default: input with .json)")
-    trace_export_p.add_argument("--kind", default=None,
-                                help="comma-separated tracepoint names or "
-                                     "subsystems to keep")
-    trace_export_p.add_argument("--process", default=None,
-                                help="only events attributed to this process")
-    trace_export_p.add_argument("--since", type=float, default=None,
-                                help="only events at or after this simulated second")
-    trace_export_p.add_argument("--until", type=float, default=None,
-                                help="only events before this simulated second")
+    trace_filters(trace_export_p)
 
     numa_p = sub.add_parser(
         "numa", help="race NUMA placement modes for one workload")
     numa_p.add_argument("--policy", default="hawkeye-g",
-                        choices=sorted(POLICIES))
+                        help="a policy column of the numa registry grid "
+                             "(default hawkeye-g)")
     numa_p.add_argument("--nodes", type=int, default=2,
                         help="NUMA nodes (default 2)")
     numa_p.add_argument("--scale", type=int, default=64,
@@ -228,29 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_p = sub.add_parser(
         "fleet",
-        help="drive multi-tenant churn (Poisson arrivals, OOM killer) and "
-             "report per-class QoS")
-    fleet_p.add_argument("--policy", default="hawkeye-g",
-                         choices=sorted(POLICIES))
-    fleet_p.add_argument("--mem-gb", type=float, default=64.0,
-                         help="machine memory in GB at full scale "
-                              "(default 64)")
+        help="run fleet churn registry cells (Poisson arrivals, OOM "
+             "killer) and report per-class QoS")
+    fleet_p.add_argument(
+        "selectors", nargs="*", default=["fleet-smoke:hawkeye-g"],
+        help="fleet or fleet-smoke cell selectors: EXP | EXP/CASE | "
+             "EXP:POLICY | EXP/CASE:POLICY (default fleet-smoke:hawkeye-g)")
     fleet_p.add_argument("--scale", type=int, default=128,
                          help="linear memory scale divisor (default 128)")
-    fleet_p.add_argument("--rate", type=float, default=2.0,
-                         help="tenant arrival rate per simulated second "
-                              "(default 2.0)")
-    fleet_p.add_argument("--tenants", type=int, default=200,
-                         help="tenant lifetimes to complete (default 200)")
-    fleet_p.add_argument("--seed", type=int, default=0,
-                         help="arrival/footprint RNG seed (default 0)")
-    fleet_p.add_argument("--max-epochs", type=int, default=4000,
-                         help="epoch budget (default 4000)")
-    fleet_p.add_argument("--batch-cap", type=int, default=8,
-                         help="huge-page group cap for the batch-* tier "
-                              "(0 disables; default 8)")
     fleet_p.add_argument("--json", action="store_true",
-                         help="emit the full QoS result as JSON")
+                         help="emit {cell_id: QoS result} as JSON")
 
     pagemap_p = sub.add_parser(
         "pagemap",
@@ -382,34 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_p = sub.add_parser(
         "scenario",
-        help="validate, list or run declarative scenario files")
+        help="validate or list declarative scenario files (run them "
+             "with 'sweep run --scenario FILE')")
     scenario_sub = scenario_p.add_subparsers(dest="scenario_command",
                                              required=True)
-
-    scenario_run_p = scenario_sub.add_parser(
-        "run", help="execute scenario files through the cached sweep runner")
-    scenario_run_p.add_argument("files", nargs="+", metavar="FILE",
-                                help="scenario files (.yaml/.yml/.json)")
-    sweep_common(scenario_run_p)
-    scenario_run_p.add_argument("--jobs", type=int, default=1,
-                                help="worker processes (default 1)")
-    scenario_run_p.add_argument("--timeout", type=float, default=None,
-                                help="per-cell wall-clock budget in seconds "
-                                     "(default 900)")
-    scenario_run_p.add_argument("--retries", type=int, default=None,
-                                help="extra attempts per failed cell "
-                                     "(default 1)")
-    scenario_run_p.add_argument("--scale", type=int, default=128,
-                                help="linear memory scale divisor "
-                                     "(default 128)")
-    scenario_run_p.add_argument("--force", action="store_true",
-                                help="re-execute cells even when cached")
-    scenario_run_p.add_argument("--json", action="store_true",
-                                help="emit per-cell records as JSON Lines")
-    scenario_run_p.add_argument("--csv", metavar="PATH", default=None,
-                                help="also write per-cell records as CSV")
-    scenario_run_p.add_argument("--require-cached", action="store_true",
-                                help="exit 1 if any cell actually executed")
 
     scenario_validate_p = scenario_sub.add_parser(
         "validate", help="check scenario files against the schema")
@@ -461,8 +426,8 @@ def _execute(workload_name: str, policy: str, args, setup=None) -> dict:
     scale = Scale(1.0 / args.scale)
     kernel = make_kernel(
         args.mem_gb * GB, policy, scale,
-        numa_nodes=getattr(args, "nodes", 1),
-        numa_balance=getattr(args, "numa_balance", False),
+        numa_nodes=args.nodes,
+        numa_balance=args.numa_balance,
     )
     if args.fragment:
         fragment(kernel)
@@ -570,10 +535,8 @@ def cmd_bench(args) -> int:
     import subprocess
     from pathlib import Path
 
-    if args.target == "touch":
-        return _cmd_bench_touch(args)
-    if args.target == "epoch":
-        return _cmd_bench_epoch(args)
+    if args.target in ("touch", "epoch"):
+        return _cmd_bench_micro(args)
 
     bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
     target = bench_dir / BENCHES[args.target]
@@ -612,26 +575,25 @@ def cmd_bench(args) -> int:
     ])
 
 
-def _cmd_bench_touch(args) -> int:
-    """The touch-throughput microbenchmark with baseline check support."""
+def _cmd_bench_micro(args) -> int:
+    """The touch/epoch microbenchmarks with baseline check support."""
     import json
+    import os
 
     from repro import perf
 
-    if args.check:
-        import os
-
-        if not os.path.exists(args.check):
-            print(f"baseline file not found: {args.check}", file=sys.stderr)
-            return 2
+    benchmark, report, check, profile = perf.MICROBENCHES[args.target]
+    if args.check and not os.path.exists(args.check):
+        print(f"baseline file not found: {args.check}", file=sys.stderr)
+        return 2
     if args.profile:
-        print(perf.profile_touch())
+        print(profile())
         return 0
-    result = perf.touch_benchmark()
+    result = benchmark()
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        print(perf.format_touch_report(result))
+        print(report(result))
     if args.update_baseline:
         with open(args.update_baseline, "w") as fh:
             json.dump(result, fh, indent=2)
@@ -640,47 +602,7 @@ def _cmd_bench_touch(args) -> int:
     if args.check:
         with open(args.check) as fh:
             baseline = json.load(fh)
-        failures = perf.check_regression(result, baseline)
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        # Keep stdout valid JSON under --json: status goes to stderr.
-        print(f"within tolerance of {args.check} "
-              f"(baseline speedup {baseline['speedup']:.2f}x)",
-              file=sys.stderr if args.json else sys.stdout)
-    return 0
-
-
-def _cmd_bench_epoch(args) -> int:
-    """The epoch-engine throughput benchmark with baseline check support."""
-    import json
-
-    from repro import perf
-
-    if args.check:
-        import os
-
-        if not os.path.exists(args.check):
-            print(f"baseline file not found: {args.check}", file=sys.stderr)
-            return 2
-    if args.profile:
-        print(perf.profile_epoch())
-        return 0
-    result = perf.epoch_benchmark()
-    if args.json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(perf.format_epoch_report(result))
-    if args.update_baseline:
-        with open(args.update_baseline, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"baseline written to {args.update_baseline}")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = perf.check_epoch_regression(result, baseline)
+        failures = check(result, baseline)
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)
         if failures:
@@ -845,21 +767,20 @@ def cmd_numa(args) -> int:
     workload homed on node 0), so the table matches `repro sweep run
     numa` output for the same policy and node count.
     """
-    from repro.experiments import reset_sim_state
-    from repro.runner.adapters import NUMA_CASES, run_numa
+    from repro.runner import UnknownCellError, cells_for, execute_cell
 
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    cases = [f"{mode}-{args.nodes}" for mode in modes]
-    unknown = [c for c in cases if c not in NUMA_CASES]
-    if unknown:
-        print(f"unknown numa cases: {', '.join(unknown)} "
-              f"(have {', '.join(NUMA_CASES)})", file=sys.stderr)
+    try:
+        # validates every mode and the policy before any cell runs
+        cells = cells_for("numa", args.scale,
+                          cases=tuple(f"{m}-{args.nodes}" for m in modes),
+                          policies=(args.policy,))
+    except UnknownCellError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
-    scale = Scale(1.0 / args.scale)
     rows = []
-    for mode, case in zip(modes, cases):
-        reset_sim_state()
-        r = run_numa(case, args.policy, scale)
+    for mode, cell in zip(modes, cells):
+        r = execute_cell(cell)
         rows.append([
             mode, round(r["time_s"], 1),
             f"{r['remote_walk_share'] * 100:.1f}%",
@@ -899,15 +820,15 @@ def cmd_top(args) -> int:
     from repro.metrics.tables import ColumnStream, InPlacePainter
 
     columns = list(TOP_COLUMNS)
-    nodes = getattr(args, "nodes", 1)
+    nodes = args.nodes
     if nodes > 1:
         # per-node placement columns, fed by procfs.numastat; single-node
         # output stays byte-identical (no extra columns, no numastat call).
         for n in range(nodes):
             columns += [f"n{n}_free", f"n{n}_alloc"]
         columns.append("numamig/s")
-    fleet_rate = getattr(args, "fleet_rate", None)
-    tenants = getattr(args, "tenants", False) or fleet_rate is not None
+    fleet_rate = args.fleet_rate
+    tenants = args.tenants or fleet_rate is not None
     if tenants:
         # fleet aggregate columns; without --tenants/--fleet-rate the
         # default output stays byte-identical (no extra columns).
@@ -917,7 +838,7 @@ def cmd_top(args) -> int:
     state = {"last_t": 0.0, "last_vmstat": None, "last_numastat": None,
              "last_fleet": None, "last_wall": 0.0}
     painter = InPlacePainter()
-    watch = getattr(args, "watch", None)
+    watch = args.watch
 
     def snapshot(kernel):
         t_s = kernel.now_us / SEC
@@ -1016,48 +937,60 @@ def cmd_top(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    """`repro fleet`: multi-tenant churn with per-class QoS reporting.
+    """`repro fleet`: fleet churn registry cells with per-class QoS.
 
-    Drives Poisson arrivals through the kernel until ``--tenants``
-    lifetimes complete, with the fleet OOM killer shaving pressure
-    peaks, then prints the fairness/tail summary (or the full JSON
-    result with ``--json``).
+    Each selected ``fleet``/``fleet-smoke`` cell runs through the
+    registry exactly as `repro sweep run` would run it (Poisson
+    arrivals, group caps and the OOM killer shaving pressure peaks),
+    then prints its fairness/tail summary, or ``{cell_id: result}`` as
+    JSON with ``--json``.  Exits 1 when a cell finishes short of its
+    lifetime target.
     """
     import json
 
-    from repro.fleet import FleetManager, FleetSpec
-    from repro.fleet.experiment import drive_fleet, fleet_result
+    from repro.fleet.experiment import FLEET_LIFETIMES, SMOKE_LIFETIMES
+    from repro.runner import UnknownCellError, execute_cell, parse_selectors
 
-    scale = Scale(1.0 / args.scale)
-    kernel = make_kernel(args.mem_gb * GB, args.policy, scale,
-                         boot_zeroed=True)
-    group_limits = {"batch-*": args.batch_cap} if args.batch_cap else {}
-    spec = FleetSpec(rate_per_s=args.rate, seed=args.seed,
-                     group_limits=group_limits)
-    manager = FleetManager(kernel, spec, scale_factor=scale.factor)
-    epochs = drive_fleet(kernel, manager, args.tenants, args.max_epochs)
-    result = fleet_result(kernel, manager, epochs)
+    targets = {"fleet": FLEET_LIFETIMES, "fleet-smoke": SMOKE_LIFETIMES}
+    outside = [sel for sel in args.selectors
+               if sel.partition(":")[0].partition("/")[0] not in targets]
+    if outside:
+        print(f"not a fleet selector: {', '.join(outside)} "
+              f"(experiments {', '.join(targets)})", file=sys.stderr)
+        return 2
+    try:
+        cells = parse_selectors(args.selectors, args.scale)
+    except UnknownCellError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    results = {cell.cell_id: execute_cell(cell) for cell in cells}
+    short = [cell.cell_id for cell in cells
+             if results[cell.cell_id]["exited"] < targets[cell.experiment]]
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-        return 0 if result["exited"] >= args.tenants else 1
-    print(f"fleet/{args.policy}: {result['exited']} lifetimes in "
-          f"{result['t_end_s']:.0f} simulated s ({epochs} epochs), "
-          f"peak {result['peak_active']} active")
-    print(f"  oom kills {result['oom_kills']} "
-          f"(protected {result['protected_kills']}), "
-          f"deferred {result['deferred']}, "
-          f"limit refusals {result['limit_refusals']}")
-    print(f"  fault latency p50 {result['fault_p50_us']:.1f}us "
-          f"p99 {result['fault_p99_us']:.1f}us, "
-          f"fairness spread {result['fairness_spread']:.3f}")
-    for name, cls in result["classes"].items():
-        print(f"  {name:<6} tenants {cls['tenants']:<5} "
-              f"oomk {cls['oom_kills']:<4} "
-              f"cov {cls['mean_huge_coverage']:.2f} "
-              f"bloat {cls['mean_bloat_mb']:.1f}MB "
-              f"p50 {cls['fault_p50_us']:.1f}us "
-              f"p99 {cls['fault_p99_us']:.1f}us")
-    return 0 if result["exited"] >= args.tenants else 1
+        print(json.dumps(results, indent=2, sort_keys=True))
+    else:
+        for cell_id, result in results.items():
+            print(f"{cell_id}: {result['exited']} lifetimes in "
+                  f"{result['t_end_s']:.0f} simulated s ({result['epochs']} "
+                  f"epochs), peak {result['peak_active']} active")
+            print(f"  oom kills {result['oom_kills']} "
+                  f"(protected {result['protected_kills']}), "
+                  f"deferred {result['deferred']}, "
+                  f"limit refusals {result['limit_refusals']}")
+            print(f"  fault latency p50 {result['fault_p50_us']:.1f}us "
+                  f"p99 {result['fault_p99_us']:.1f}us, "
+                  f"fairness spread {result['fairness_spread']:.3f}")
+            for name, cls in result["classes"].items():
+                print(f"  {name:<6} tenants {cls['tenants']:<5} "
+                      f"oomk {cls['oom_kills']:<4} "
+                      f"cov {cls['mean_huge_coverage']:.2f} "
+                      f"bloat {cls['mean_bloat_mb']:.1f}MB "
+                      f"p50 {cls['fault_p50_us']:.1f}us "
+                      f"p99 {cls['fault_p99_us']:.1f}us")
+    for cell_id in short:
+        print(f"{cell_id} finished short of its lifetime target",
+              file=sys.stderr)
+    return 1 if short else 0
 
 
 def _attach_audit(args):
@@ -1236,28 +1169,20 @@ def _cmd_audit_cache(args) -> int:
     import json
 
     from repro import audit
-    from repro.report.data import latest_envelopes
 
-    cache, _ = _sweep_paths(args)
-    cells: dict[str, dict] = {}
+    cache, cells = _cached_artifacts(args, "decisions")
     total_funnel: dict[str, dict[str, int]] = {}
     total_rej: dict[str, dict[str, int]] = {}
-    envelopes = latest_envelopes(cache)
-    for cell_id in sorted(envelopes):
-        for artifact in envelopes[cell_id].get("telemetry") or []:
-            decisions = artifact.get("decisions") or {}
-            if not decisions:
-                continue
-            cells[cell_id] = decisions
-            for point, stages in (decisions.get("funnel") or {}).items():
-                agg = total_funnel.setdefault(
-                    point, {s: 0 for s in audit.FUNNEL_STAGES})
-                for stage, count in stages.items():
-                    agg[stage] += count
-            for point, reasons in (decisions.get("rejections") or {}).items():
-                rej = total_rej.setdefault(point, {})
-                for reason, count in reasons.items():
-                    rej[reason] = rej.get(reason, 0) + count
+    for decisions in cells.values():
+        for point, stages in (decisions.get("funnel") or {}).items():
+            agg = total_funnel.setdefault(
+                point, {s: 0 for s in audit.FUNNEL_STAGES})
+            for stage, count in stages.items():
+                agg[stage] += count
+        for point, reasons in (decisions.get("rejections") or {}).items():
+            rej = total_rej.setdefault(point, {})
+            for reason, count in reasons.items():
+                rej[reason] = rej.get(reason, 0) + count
     if args.json:
         print(json.dumps(
             {"cells": cells,
@@ -1398,15 +1323,9 @@ def _cmd_heat_cache(args) -> int:
     """Aggregate captured heat snapshots across a sweep cache."""
     import json
 
-    from repro.report.data import latest_envelopes
-
-    cache, _ = _sweep_paths(args)
-    cells: dict[str, dict] = {}
-    for cell_id, env in sorted(latest_envelopes(cache).items()):
-        for artifact in env.get("telemetry") or []:
-            snap = artifact.get("heat") or {}
-            if snap.get("processes"):
-                cells[cell_id] = snap
+    cache, snaps = _cached_artifacts(args, "heat")
+    cells = {cell_id: snap for cell_id, snap in snaps.items()
+             if snap.get("processes")}
     if args.json:
         print(json.dumps({"cells": cells}, indent=2, sort_keys=True))
         return 0
@@ -1450,6 +1369,24 @@ def _cmd_heat_cache(args) -> int:
     return 0
 
 
+def _cached_artifacts(args, key: str):
+    """``(cache, {cell_id: artifact[key]})`` over a sweep cache.
+
+    Walks the newest envelope of every cached cell in cell-id order and
+    keeps the non-empty ``key`` entry of its telemetry artifact (a
+    registry cell builds one kernel, so it captures one artifact).
+    """
+    from repro.report.data import latest_envelopes
+
+    cache, _ = _sweep_paths(args)
+    views = {}
+    for cell_id, env in sorted(latest_envelopes(cache).items()):
+        for artifact in env.get("telemetry") or []:
+            if artifact.get(key):
+                views[cell_id] = artifact[key]
+    return cache, views
+
+
 def _sweep_paths(args):
     """Resolve (cache, manifest path) from --cache-dir/$REPRO_SWEEP_CACHE."""
     from pathlib import Path
@@ -1460,16 +1397,18 @@ def _sweep_paths(args):
     return ResultCache(root), root / "manifest.json"
 
 
-def _drive_cells(args, cells, cache, manifest) -> tuple[int, object]:
-    """Shared sweep/scenario drive loop: run, print, export.
+def _drive_cells(args, cells, cache, manifest) -> int:
+    """The sweep drive loop: run, print, export; returns the exit code.
 
-    Returns ``(exit_code, SweepReport)``; the exit code covers cache
-    and outcome health, callers may tighten it further (scenario
-    assertions).
+    Exits 1 on an unhealthy outcome, on an executed cell under
+    ``--require-cached``, or when any cell result carries a failed
+    scenario assertion (each failure is printed with the measured value
+    and the threshold it broke).
     """
     from repro import runner
     from repro.metrics.export import cells_to_csv, cells_to_jsonl
     from repro.runner import run_sweep
+    from repro.scenario.executor import format_assertion_failure
 
     def progress(outcome):
         line = f"  [{outcome.status:>7s}] {outcome.cell.cell_id}"
@@ -1511,34 +1450,35 @@ def _drive_cells(args, cells, cache, manifest) -> tuple[int, object]:
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
     print(f"{summary}; executed {report.executed}, "
           f"{report.wall_s:.1f}s wall; cache {cache.root}", file=sys.stderr)
+    failed = 0
+    for outcome in report.outcomes:
+        result = outcome.result if outcome.good else None
+        for record in (result or {}).get("assertions", ()):
+            if not record.get("passed"):
+                failed += 1
+                print(f"  assertion failed [{outcome.cell.cell_id}] "
+                      f"{format_assertion_failure(record)}", file=sys.stderr)
+    if failed:
+        print(f"{failed} scenario assertion(s) failed", file=sys.stderr)
     if args.require_cached and report.executed:
         print(f"--require-cached: {report.executed} cells executed "
               f"(expected 100% cache hits)", file=sys.stderr)
-        return 1, report
-    return (0 if report.ok else 1), report
-
-
-def _register_scenario_files(paths) -> list[str]:
-    """Register scenario files; returns their experiment names.
-
-    Raises :class:`repro.scenario.ScenarioError` on an invalid file.
-    """
-    from repro.scenario import register_scenario_file
-
-    return [register_scenario_file(path).name for path in paths]
+        return 1
+    return 0 if report.ok and not failed else 1
 
 
 def _cmd_sweep_run(args) -> int:
     """`repro sweep run`: drive selected cells through the cached runner."""
     from repro import runner
     from repro.runner import Manifest, UnknownCellError
-    from repro.scenario import ScenarioError
+    from repro.scenario import ScenarioError, register_scenario_file
 
     cache, manifest_path = _sweep_paths(args)
     scenario_experiments: list[str] = []
-    if getattr(args, "scenario", None):
+    if args.scenario:
         try:
-            scenario_experiments = _register_scenario_files(args.scenario)
+            scenario_experiments = [register_scenario_file(path).name
+                                    for path in args.scenario]
         except ScenarioError as exc:
             print(str(exc), file=sys.stderr)
             return 2
@@ -1567,50 +1507,7 @@ def _cmd_sweep_run(args) -> int:
     if not cells:
         print("no cells selected", file=sys.stderr)
         return 2
-    rc, _ = _drive_cells(args, cells, cache, manifest)
-    return rc
-
-
-def _print_failed_assertions(report) -> int:
-    """Scenario assertion failures to stderr; returns how many failed.
-
-    Each line names the measured value and the threshold it broke
-    (see :func:`repro.scenario.executor.format_assertion_failure`).
-    """
-    from repro.scenario.executor import format_assertion_failure
-
-    failed = 0
-    for outcome in report.outcomes:
-        result = outcome.result if outcome.good else None
-        if not result:
-            continue
-        for record in result.get("assertions", ()):
-            if not record.get("passed"):
-                failed += 1
-                print(f"  assertion failed [{outcome.cell.cell_id}] "
-                      f"{format_assertion_failure(record)}", file=sys.stderr)
-    return failed
-
-
-def _cmd_scenario_run(args) -> int:
-    """`repro scenario run`: execute scenario files as sweep cells."""
-    from repro.runner import Manifest, cells_for
-    from repro.scenario import ScenarioError
-
-    cache, manifest_path = _sweep_paths(args)
-    try:
-        experiments = _register_scenario_files(args.files)
-    except ScenarioError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    cells = [cell for name in experiments
-             for cell in cells_for(name, args.scale)]
-    rc, report = _drive_cells(args, cells, cache, Manifest(manifest_path))
-    failed = _print_failed_assertions(report)
-    if failed:
-        print(f"{failed} scenario assertion(s) failed", file=sys.stderr)
-        return 1
-    return rc
+    return _drive_cells(args, cells, cache, manifest)
 
 
 def _cmd_scenario_validate(args) -> int:
@@ -1660,9 +1557,7 @@ def _cmd_scenario_list(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    """`repro scenario`: dispatch to the run/validate/list sub-commands."""
-    if args.scenario_command == "run":
-        return _cmd_scenario_run(args)
+    """`repro scenario`: dispatch to the validate/list sub-commands."""
     if args.scenario_command == "validate":
         return _cmd_scenario_validate(args)
     return _cmd_scenario_list(args)

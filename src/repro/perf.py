@@ -1,12 +1,15 @@
 """Performance harness for the simulator's hot paths.
 
-Two entry points, both reachable through ``python -m repro bench``:
+Entry points, all reachable through ``python -m repro bench``:
 
 * :func:`touch_benchmark` — the touch-throughput microbenchmark: a dense
   fault-heavy workload (touch, sparse free, re-touch) run once through
   the batched fault fast path and once with ``kernel.batched_faults``
   forced off.  Reporting both gives a machine-independent speedup ratio
   (used by CI) next to the absolute pages/second (used for baselines).
+* :func:`epoch_benchmark` — the epoch-engine throughput benchmark,
+  vectorized vs forced-scalar, on a sampler-dominated workload.
+  :data:`MICROBENCHES` pairs each with its report, gate and profiler.
 * :func:`profile_target` — a cProfile report over a paper benchmark's
   experiment function, bypassing pytest-benchmark (whose timed block
   installs its own profiler hook and would hide everything).
@@ -28,7 +31,7 @@ import time
 from repro import audit, heat, trace
 from repro.experiments import POLICIES, Scale, make_kernel, reset_sim_state
 from repro.metrics import telemetry
-from repro.units import GB, MB, PAGES_PER_HUGE, SEC
+from repro.units import MB, PAGES_PER_HUGE, SEC
 from repro.workloads.base import (
     AccessProfile,
     ContentSpec,
@@ -125,6 +128,42 @@ def _run_once(policy: str, npages: int, batched: bool, trace_mode: str = "off") 
     return elapsed
 
 
+def _paired_overhead(bare, disabled, pairs: int) -> tuple[list, list, float]:
+    """Time ``pairs`` adjacent (bare, disabled-observer) runs.
+
+    Returns both lists of wall times and the median per-pair overhead
+    ratio ``disabled / bare - 1``.  That ratio feeds a tight (<5 %)
+    gate, so it needs a far lower-variance estimate than the speedup
+    ratios do.  Three defenses against timing noise:
+
+    * GC off during each timed pair (collections over the kernel's
+      large object graph otherwise land in arbitrary runs);
+    * the ratio is computed *per adjacent pair*, so slow drift in
+      machine state cancels within each sample;
+    * the order within a pair alternates — the first run after a
+      gc.collect() is systematically slower (allocator/cache warm-up),
+      and alternation makes that bias symmetric so the median of an
+      even number of pairs cancels it.
+    """
+    bare_times, disabled_times, ratios = [], [], []
+    for i in range(pairs):
+        gc.collect()
+        gc.disable()
+        try:
+            if i % 2 == 0:
+                b = bare()
+                d = disabled()
+            else:
+                d = disabled()
+                b = bare()
+        finally:
+            gc.enable()
+        bare_times.append(b)
+        disabled_times.append(d)
+        ratios.append(d / b - 1.0)
+    return bare_times, disabled_times, statistics.median(ratios)
+
+
 def touch_benchmark(
     policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, repeats: int = 3
 ) -> dict:
@@ -141,33 +180,11 @@ def touch_benchmark(
     """
     total_pages = 2 * npages  # grow + regrow both touch the full region
     scalar_s = min(_run_once(policy, npages, batched=False) for _ in range(repeats))
-    # The no-tracer vs disabled-tracer comparison feeds a tight (<5 %)
-    # ratio gate, so it needs a far lower-variance estimate than the
-    # speedup ratio does.  Three defenses against timing noise:
-    # * GC off during each timed pair (collections over the kernel's
-    #   large object graph otherwise land in arbitrary runs);
-    # * the ratio is computed *per adjacent pair*, so slow drift in
-    #   machine state cancels within each sample;
-    # * the order within a pair alternates — the first run after a
-    #   gc.collect() is systematically slower (allocator/cache warm-up),
-    #   and alternation makes that bias symmetric so the median of an
-    #   even number of pairs cancels it.
-    batched_times, disabled_times, overhead_ratios = [], [], []
-    for i in range(2 * max(repeats, 5)):
-        gc.collect()
-        gc.disable()
-        try:
-            if i % 2 == 0:
-                b = _run_once(policy, npages, batched=True)
-                d = _run_once(policy, npages, batched=True, trace_mode="disabled")
-            else:
-                d = _run_once(policy, npages, batched=True, trace_mode="disabled")
-                b = _run_once(policy, npages, batched=True)
-        finally:
-            gc.enable()
-        batched_times.append(b)
-        disabled_times.append(d)
-        overhead_ratios.append(d / b - 1.0)
+    batched_times, disabled_times, overhead = _paired_overhead(
+        lambda: _run_once(policy, npages, batched=True),
+        lambda: _run_once(policy, npages, batched=True, trace_mode="disabled"),
+        pairs=2 * max(repeats, 5),
+    )
     batched_s = min(batched_times)
     disabled_s = min(disabled_times)
     return {
@@ -179,7 +196,7 @@ def touch_benchmark(
         "batched_pages_per_s": round(total_pages / batched_s),
         "scalar_pages_per_s": round(total_pages / scalar_s),
         "speedup": round(scalar_s / batched_s, 2),
-        "trace_overhead": round(statistics.median(overhead_ratios), 4),
+        "trace_overhead": round(overhead, 4),
     }
 
 
@@ -203,6 +220,19 @@ def format_touch_report(result: dict) -> str:
 TRACE_OVERHEAD_CEILING = 0.05
 
 
+def _overhead_failures(result: dict, where: str) -> list[str]:
+    """The <5 % disabled-observer check shared by both gates.
+
+    Results from before the tracing gate carry no ``trace_overhead``
+    key and pass.
+    """
+    overhead = result.get("trace_overhead")
+    if overhead is None or overhead < TRACE_OVERHEAD_CEILING:
+        return []
+    return [f"disabled-tracing overhead {overhead:+.1%} reached the "
+            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling {where}"]
+
+
 def check_regression(result: dict, baseline: dict, tolerance: float = 0.25) -> list[str]:
     """Compare a fresh result against a checked-in baseline.
 
@@ -220,14 +250,8 @@ def check_regression(result: dict, baseline: dict, tolerance: float = 0.25) -> l
             f"batched/scalar speedup {result['speedup']:.2f}x fell below "
             f"{floor:.2f}x (baseline {baseline['speedup']:.2f}x - {tolerance:.0%})"
         )
-    overhead = result.get("trace_overhead")
-    if overhead is not None and overhead >= TRACE_OVERHEAD_CEILING:
-        failures.append(
-            f"disabled-tracing overhead {overhead:+.1%} reached the "
-            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling (tracepoints must be "
-            "near-free when not emitting)"
-        )
-    return failures
+    return failures + _overhead_failures(
+        result, "(tracepoints must be near-free when not emitting)")
 
 
 # ---------------------------------------------------------------------- #
@@ -362,23 +386,12 @@ def epoch_benchmark(
     scalar_s = min(
         _run_epoch_once(policy, regions, epochs, vectorized=False)
         for _ in range(repeats))
-    vector_times, overhead_ratios = [], []
-    for i in range(2 * max(repeats, 4)):
-        gc.collect()
-        gc.disable()
-        try:
-            if i % 2 == 0:
-                v = _run_epoch_once(policy, regions, epochs, vectorized=True)
-                d = _run_epoch_once(policy, regions, epochs, vectorized=True,
-                                    trace_mode="disabled")
-            else:
-                d = _run_epoch_once(policy, regions, epochs, vectorized=True,
-                                    trace_mode="disabled")
-                v = _run_epoch_once(policy, regions, epochs, vectorized=True)
-        finally:
-            gc.enable()
-        vector_times.append(v)
-        overhead_ratios.append(d / v - 1.0)
+    vector_times, _, overhead = _paired_overhead(
+        lambda: _run_epoch_once(policy, regions, epochs, vectorized=True),
+        lambda: _run_epoch_once(policy, regions, epochs, vectorized=True,
+                                trace_mode="disabled"),
+        pairs=2 * max(repeats, 4),
+    )
     vectorized_s = min(vector_times)
     return {
         "policy": policy,
@@ -390,7 +403,7 @@ def epoch_benchmark(
         "scalar_epochs_per_s": round(epochs / scalar_s),
         "speedup": round(scalar_s / vectorized_s, 2),
         "scan_speedup": round(_scan_speedup(policy, regions), 2),
-        "trace_overhead": round(statistics.median(overhead_ratios), 4),
+        "trace_overhead": round(overhead, 4),
     }
 
 
@@ -433,26 +446,15 @@ def check_epoch_regression(result: dict, baseline: dict,
             f"fell below {scan_floor:.2f}x "
             f"(baseline {baseline['scan_speedup']:.2f}x - {tolerance:.0%})"
         )
-    overhead = result.get("trace_overhead")
-    if overhead is not None and overhead >= TRACE_OVERHEAD_CEILING:
-        failures.append(
-            f"disabled-tracing overhead {overhead:+.1%} reached the "
-            f"{TRACE_OVERHEAD_CEILING:.0%} ceiling on the vectorized "
-            "epoch path"
-        )
-    return failures
+    return failures + _overhead_failures(result, "on the vectorized epoch path")
 
 
 def profile_epoch(policy: str = "hawkeye-4kb", regions: int = EPOCH_REGIONS,
                   epochs: int = EPOCH_EPOCHS, top: int = 25) -> str:
     """Profile one vectorized run of the epoch microbenchmark."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    return profile_target(
-        lambda: _run_epoch_once(policy, regions, epochs, vectorized=True),
-        f"epoch microbenchmark ({policy})",
-        top,
-    )
+    return _profile_micro(
+        "epoch", policy,
+        lambda: _run_epoch_once(policy, regions, epochs, vectorized=True), top)
 
 
 def profile_target(run, label: str, top: int = 25) -> str:
@@ -474,12 +476,24 @@ def profile_target(run, label: str, top: int = 25) -> str:
     return out.getvalue()
 
 
-def profile_touch(policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, top: int = 25) -> str:
-    """Profile one batched run of the touch microbenchmark."""
+def _profile_micro(name: str, policy: str, run, top: int) -> str:
+    """Profile one run of the ``name`` microbenchmark under ``policy``."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    return profile_target(
-        lambda: _run_once(policy, npages, batched=True),
-        f"touch microbenchmark ({policy})",
-        top,
-    )
+    return profile_target(run, f"{name} microbenchmark ({policy})", top)
+
+
+def profile_touch(policy: str = "hawkeye-g", npages: int = TOUCH_PAGES, top: int = 25) -> str:
+    """Profile one batched run of the touch microbenchmark."""
+    return _profile_micro(
+        "touch", policy, lambda: _run_once(policy, npages, batched=True), top)
+
+
+#: ``repro bench`` microbenchmark target -> (benchmark, report
+#: formatter, baseline check, profiler).  One CLI handler drives both.
+MICROBENCHES = {
+    "touch": (touch_benchmark, format_touch_report, check_regression,
+              profile_touch),
+    "epoch": (epoch_benchmark, format_epoch_report, check_epoch_regression,
+              profile_epoch),
+}

@@ -294,8 +294,9 @@ def format_assertion_failure(record: dict) -> str:
 
     The record is one entry of a scenario result's ``assertions`` list
     (see :func:`_evaluate_assertion`); the rendering names the measured
-    value and the limit it broke, so a failing ``repro scenario run``
-    says *what* was out of bounds, not just that something was.
+    value and the limit it broke, so a failing
+    ``repro sweep run --scenario`` says *what* was out of bounds, not
+    just that something was.
     """
     kind = record.get("kind")
     if kind == "bloat-ceiling":

@@ -327,3 +327,40 @@ def test_report_html_empty_cache(tmp_path, capsys):
                "--out", str(html_path)])
     assert rc == 0
     assert "no cached" in html_path.read_text().lower()
+
+
+def test_fleet_json_is_the_registry_cell(capsys):
+    import json
+
+    from repro.runner import Cell, execute_cell
+
+    rc = main(["fleet", "fleet-smoke:hawkeye-g", "--scale", "1024", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    cell = Cell("fleet-smoke", "arrival-smoke", "hawkeye-g", 1024)
+    assert out == {cell.cell_id: execute_cell(cell)}
+    assert rc == 0  # the cell reached its SMOKE_LIFETIMES target
+
+
+def test_fleet_rejects_selectors_outside_fleet(capsys):
+    assert main(["fleet", "smoke:linux-4kb"]) == 2
+    assert "not a fleet selector" in capsys.readouterr().err
+    assert main(["fleet", "fleet/arrival-9x"]) == 2
+    assert "unknown case" in capsys.readouterr().err
+
+
+def test_numa_prints_one_row_per_mode(capsys):
+    rc = main(["numa", "--nodes", "2", "--scale", "1024"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[0] for row in rows] == [
+        "local", "interleave", "balanced", "replicated"]
+    # policies outside the numa grid surface as the registry's error
+    assert main(["numa", "--policy", "linux-4kb"]) == 2
+    assert "unknown policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["touch", "epoch"])
+def test_bench_micro_missing_baseline(tmp_path, capsys, target):
+    rc = main(["bench", target, "--check", str(tmp_path / "none.json")])
+    assert rc == 2
+    assert "baseline file not found" in capsys.readouterr().err

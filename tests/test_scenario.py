@@ -333,8 +333,8 @@ def _fast_doc():
 def test_cli_scenario_run_and_cache(tmp_path, capsys):
     path = _write(tmp_path, "fast.json", _fast_doc())
     cache = tmp_path / "cache"
-    argv = ["scenario", "run", str(path), "--cache-dir", str(cache),
-            "--scale", "1024"]
+    argv = ["sweep", "run", "--scenario", str(path), "--cache-dir",
+            str(cache), "--scale", "1024"]
     try:
         rc = cli.main(argv)
         err = capsys.readouterr().err
@@ -355,8 +355,9 @@ def test_cli_scenario_run_fails_failed_assertions(tmp_path, capsys):
     document["assertions"] = [{"kind": "fault-p99", "max_us": 0}]
     path = _write(tmp_path, "fail.json", document)
     try:
-        rc = cli.main(["scenario", "run", str(path), "--cache-dir",
-                       str(tmp_path / "cache"), "--scale", "1024"])
+        rc = cli.main(["sweep", "run", "--scenario", str(path),
+                       "--cache-dir", str(tmp_path / "cache"),
+                       "--scale", "1024"])
         err = capsys.readouterr().err
         assert rc == 1
         assert "assertion failed" in err
@@ -400,7 +401,7 @@ def test_cli_scenario_run_invalid_file(tmp_path, capsys):
     bad = valid_doc()
     bad.pop("policies")
     path = _write(tmp_path, "bad.json", bad)
-    rc = cli.main(["scenario", "run", str(path), "--cache-dir",
+    rc = cli.main(["sweep", "run", "--scenario", str(path), "--cache-dir",
                    str(tmp_path / "cache")])
     assert rc == 2
     assert "missing required key" in capsys.readouterr().err
@@ -421,3 +422,33 @@ def test_cli_sweep_run_scenario_flag(tmp_path, capsys):
         assert "tab1" not in captured.out
     finally:
         unregister("scn-viasweep")
+
+
+def test_cli_sweep_run_reports_failed_assertions(tmp_path, capsys):
+    # a scenario mixed with a stock grid: the shared drive loop reports
+    # the scenario's failed assertions, also from a warm cache
+    document = _fast_doc()
+    document["name"] = "sweepfail"
+    document["assertions"] = [{"kind": "fault-p99", "max_us": 0}]
+    path = _write(tmp_path, "sweepfail.json", document)
+    argv = ["sweep", "run", "--scenario", str(path), "smoke:linux-4kb",
+            "scn-sweepfail", "--cache-dir", str(tmp_path / "cache"),
+            "--scale", "256"]
+    try:
+        for warm in (False, True):
+            rc = cli.main(argv + (["--require-cached"] if warm else []))
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert ("assertion failed [scn-sweepfail/only:linux-2mb@256] "
+                    "fault-p99: measured") in err
+            assert "assertion failed [smoke/" not in err
+            assert "scenario assertion(s) failed" in err
+        assert "--require-cached" not in err  # warm rerun: all cached
+    finally:
+        unregister("scn-sweepfail")
+
+
+def test_cli_scenario_run_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scenario", "run", "examples/scenarios/smoke.yaml"])
+    assert exc.value.code == 2
