@@ -160,12 +160,13 @@ class FrameLedger:
 
     # -- frame-table hooks --------------------------------------------- #
 
-    def on_alloc(self, start: int, count: int, owner: int) -> None:
-        """A frame range was marked allocated: open fresh records."""
+    def on_alloc(self, start: int, count: int, owner: int, order: int) -> None:
+        """A frame range of order-``order`` blocks was marked allocated:
+        open fresh records."""
         sl = slice(start, start + count)
         self.live[sl] = True
         self.alloc_pid[sl] = owner
-        self.alloc_order[sl] = max(count.bit_length() - 1, 0)
+        self.alloc_order[sl] = order
         self.alloc_epoch[sl] = self.kernel.stats.epochs
         self.alloc_site[sl] = (
             SITE_KERNEL if owner == _KERNEL_OWNER else SITE_FAULT)
@@ -176,6 +177,11 @@ class FrameLedger:
         self.live[start:start + count] = False
         self.record(start, count, EV_FREED)
 
+    def on_free_frames(self, frames: np.ndarray) -> None:
+        """:meth:`on_free` over an array of distinct frames."""
+        self.live[frames] = False
+        self.record_frames(frames, EV_FREED)
+
     def on_zero(self, start: int, count: int) -> None:
         """A frame range had its content zero-filled."""
         self.record(start, count, EV_ZEROED)
@@ -184,21 +190,24 @@ class FrameLedger:
 
     def record(self, start: int, count: int, ev: int, arg: int = 0) -> None:
         """Append one lifecycle event to each frame in the range."""
-        epoch = self.kernel.stats.epochs
-        if count == 1:
-            pos = self.ev_len[start] % RING_SLOTS
-            self.ev_code[start, pos] = ev
-            self.ev_epoch[start, pos] = epoch
-            self.ev_arg[start, pos] = arg
-            self.ev_len[start] += 1
-        else:
-            idx = np.arange(start, start + count)
-            pos = self.ev_len[idx] % RING_SLOTS
-            self.ev_code[idx, pos] = ev
-            self.ev_epoch[idx, pos] = epoch
-            self.ev_arg[idx, pos] = arg
-            self.ev_len[idx] += 1
-        self.events_recorded += count
+        if count != 1:
+            self.record_frames(np.arange(start, start + count), ev, arg)
+            return
+        pos = self.ev_len[start] % RING_SLOTS
+        self.ev_code[start, pos] = ev
+        self.ev_epoch[start, pos] = self.kernel.stats.epochs
+        self.ev_arg[start, pos] = arg
+        self.ev_len[start] += 1
+        self.events_recorded += 1
+
+    def record_frames(self, frames: np.ndarray, ev: int, arg: int = 0) -> None:
+        """Append one lifecycle event to each of an array of distinct frames."""
+        pos = self.ev_len[frames] % RING_SLOTS
+        self.ev_code[frames, pos] = ev
+        self.ev_epoch[frames, pos] = self.kernel.stats.epochs
+        self.ev_arg[frames, pos] = arg
+        self.ev_len[frames] += 1
+        self.events_recorded += len(frames)
 
     def set_site(self, start: int, count: int, site: int) -> None:
         """Re-attribute an allocation to a non-fault site (post-alloc)."""

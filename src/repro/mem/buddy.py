@@ -22,13 +22,42 @@ block, exactly as real memory would behave.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import AllocationError
 from repro.mem.frames import NO_OWNER, FrameTable
 from repro.units import MAX_ORDER
+
+#: completion times in :meth:`BuddyAllocator._free_plan` that are not a
+#: sequence index: inside an already-free block / never wholly free.
+_PRE = -1
+_NEVER = -2
+
+
+def frees_valid(frames: FrameTable, idx: np.ndarray, start: int, end: int) -> bool:
+    """True when ``idx`` holds distinct allocated frames in ``[start, end)``."""
+    if idx.min() < start or idx.max() >= end:
+        return False
+    if not bool(frames.allocated[idx].all()):
+        return False
+    seen = np.zeros(end - start, dtype=bool)
+    seen[idx - start] = True
+    return int(np.count_nonzero(seen)) == idx.size
+
+
+class _FreePlan(NamedTuple):
+    """Outcome of a bulk order-0 free, worked out before any state changes."""
+
+    #: per order: completion time of every block in the touched rows.
+    times: list[np.ndarray]
+    #: the free blocks the frees leave, sorted by completion time.
+    starts: np.ndarray
+    orders: np.ndarray
+    zeroed: np.ndarray
+    #: ``(start, order)`` of already-free blocks a new block absorbs.
+    merged: list[tuple[int, int]]
 
 
 class BuddyAllocator:
@@ -166,7 +195,7 @@ class BuddyAllocator:
                     zeroed = bool(nz.size == 0 or nz[0] >= (1 << order))
                 else:
                     zeroed = self._block_is_zero(start, order)
-                self.frames.mark_allocated(start, 1 << order, owner)
+                self.frames.mark_allocated(start, 1 << order, owner, order)
                 return start, zeroed
         return None
 
@@ -269,9 +298,8 @@ class BuddyAllocator:
         """Return an allocated block and coalesce with free buddies.
 
         Returns the order of the free block the pages ended up in after
-        coalescing (callers tracking high-order availability — e.g. the
-        fragmenter's FMFI bookkeeping — react only when this crosses the
-        huge-page order).
+        coalescing.  Many order-0 frees at once go through
+        :meth:`free_frames` instead, which leaves the same state.
         """
         count = 1 << order
         if not self.frames.allocated[start:start + count].all():
@@ -364,6 +392,148 @@ class BuddyAllocator:
             self._coalesce_insert(
                 start, order, bool(csum[lo + (1 << order)] == csum[lo]))
             start += 1 << order
+
+    # ------------------------------------------------------------------ #
+    # bulk order-0 free (the fragmenter and file-cache reclaim)          #
+    # ------------------------------------------------------------------ #
+
+    def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
+        """Free a sequence of order-0 frames in one pass.
+
+        Leaves exactly the state ``free(f, 0)`` for each frame in sequence
+        order would: free-list contents *and* dict order, ``_block_order``,
+        ``free_pages``, the frame table and the audit ledger.  Eager
+        coalescing makes the final block set a function of which blocks
+        end up wholly free (see :meth:`_free_plan`), and a surviving
+        block's dict position is set by its last insertion — the free of
+        the last frame inside it — so the new blocks are appended sorted
+        by that time.  Untouched free blocks keep their place.
+
+        Invalid input (a frame freed twice, listed twice, or outside the
+        zone) replays the scalar loop, so it raises on the same frame with
+        the earlier frames already freed.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0:
+            return
+        if not frees_valid(self.frames, idx, self.start, self.end):
+            for frame in idx.tolist():
+                self.free(frame, 0)
+            return
+        plan = self._free_plan(idx)
+        self.frames.mark_free_frames(idx)
+        for start, order in plan.merged:
+            self._remove(start, order)
+        for order in range(self.max_order + 1):
+            at = plan.orders == order
+            for lists, want in ((self._zero, True), (self._nonzero, False)):
+                picked = plan.starts[at & (plan.zeroed == want)]
+                lists[order].update(dict.fromkeys(picked.tolist()))
+        self._block_order.update(zip(plan.starts.tolist(), plan.orders.tolist()))
+        self.free_pages += int((1 << plan.orders).sum())
+
+    def completion_indices(
+        self, frames: Sequence[int] | np.ndarray, order: int
+    ) -> np.ndarray:
+        """Where in ``frames`` each order-``order`` block would become free.
+
+        For a prospective :meth:`free_frames` call, returns (ascending)
+        the sequence index of every free after which one more aligned
+        order-``order`` block lies wholly inside a free block — exactly
+        the frees whose scalar :meth:`free` returns an order >= ``order``.
+        Raises :class:`AllocationError` for input :meth:`free_frames`
+        would reject.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0 or order > self.max_order:
+            return np.zeros(0, dtype=np.int64)
+        if not frees_valid(self.frames, idx, self.start, self.end):
+            raise AllocationError("not a sequence of distinct allocated frames")
+        times = self._free_plan(idx).times[order]
+        return np.sort(times[times >= 0])
+
+    def _free_plan(self, idx: np.ndarray) -> _FreePlan:
+        """Which blocks a valid order-0 free sequence creates and merges.
+
+        Works per order over the aligned ``max_order`` blocks the frees
+        touch (coalescing never leaves them).  ``t`` is each block's
+        completion time: the sequence index of the free that makes it one
+        free block, ``_PRE`` inside an already-free block, ``_NEVER`` when
+        it does not end up whole.  A block completes when both halves are
+        whole and at least one completed in this batch (two halves that
+        were already free and unmerged stay unmerged, as in scalar
+        coalescing); its time is the later half's.  Zero-ness follows
+        :meth:`_coalesce_insert`: an already-free block's comes from its
+        list, a merged block is zero iff both halves are.
+        """
+        top = self.max_order
+        span = 1 << top
+        lo = (self.start >> top) << top
+        rel = idx - lo
+        touched = np.zeros(((self.end - lo) + span - 1) >> top, dtype=bool)
+        touched[rel >> top] = True
+        rows = np.flatnonzero(touched)
+        row_of = np.cumsum(touched) - 1
+
+        def local(frame_rel: np.ndarray) -> np.ndarray:
+            return (row_of[frame_rel >> top] << top) | (frame_rel & (span - 1))
+
+        # Already-free blocks inside the touched rows, per order.
+        pre, pre_zero = [], []
+        for order in range(top + 1):
+            blocks = rows.size << (top - order)
+            is_pre = np.zeros(blocks, dtype=bool)
+            zero = np.zeros(blocks, dtype=bool)
+            for lists, want in ((self._zero, True), (self._nonzero, False)):
+                bucket = lists[order]
+                if bucket:
+                    keys = np.fromiter(bucket, np.int64, len(bucket)) - lo
+                    keys = keys[touched[keys >> top]]
+                    pos = local(keys) >> order
+                    is_pre[pos] = True
+                    zero[pos] = want
+            pre.append(is_pre)
+            pre_zero.append(zero)
+        inside = [pre[top]]
+        for order in range(top - 1, -1, -1):
+            inside.append(pre[order] | np.repeat(inside[-1], 2))
+        inside.reverse()
+
+        t = np.full(rows.size << top, _NEVER, dtype=np.int64)
+        t[local(rel)] = np.arange(idx.size, dtype=np.int64)
+        t[inside[0]] = _PRE
+        z = np.zeros(t.size, dtype=bool)
+        z[local(rel)] = self.frames.first_nonzero[idx] < 0
+        z[pre[0]] = pre_zero[0][pre[0]]
+        times, zeros = [t], [z]
+        for order in range(1, top + 1):
+            a, b = t[0::2], t[1::2]
+            last = np.maximum(a, b)
+            joins = (np.minimum(a, b) >= _PRE) & (last >= 0)
+            t = np.where(inside[order], _PRE, np.where(joins, last, _NEVER))
+            z = np.where(pre[order], pre_zero[order], z[0::2] & z[1::2])
+            times.append(t)
+            zeros.append(z)
+
+        def start_of(pos: np.ndarray, order: int) -> np.ndarray:
+            return (lo + (rows[pos >> (top - order)] << top)
+                    + ((pos << order) & (span - 1)))
+
+        new, merged = [], []
+        for order, t in enumerate(times):
+            if order < top:
+                parent_done = np.repeat(times[order + 1] >= 0, 2)
+            else:
+                parent_done = np.zeros(t.size, dtype=bool)
+            final = np.flatnonzero((t >= 0) & ~parent_done)
+            new.append((t[final], start_of(final, order),
+                        np.full(final.size, order, dtype=np.int64),
+                        zeros[order][final]))
+            gone = start_of(np.flatnonzero(pre[order] & parent_done), order)
+            merged.extend((start, order) for start in gone.tolist())
+        when, starts, orders, zeroed = (np.concatenate(col) for col in zip(*new))
+        rank = np.argsort(when)
+        return _FreePlan(times, starts[rank], orders[rank], zeroed[rank], merged)
 
     # ------------------------------------------------------------------ #
     # pre-zeroing support                                                #

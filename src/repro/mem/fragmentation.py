@@ -12,9 +12,15 @@ memory "by reading several files in memory" before launching workloads
 (§4, Figure 5 setup): it fills free memory with single-frame file-cache
 pages and releases a random subset, leaving the free space shattered into
 low-order blocks.  The retained pages behave like page cache: they are
-*reclaimable* one page at a time when the kernel runs out of memory, but
-they keep physical contiguity broken until compaction migrates around
-them.
+*reclaimable* when the kernel runs out of memory, but they keep physical
+contiguity broken until compaction migrates around them.
+
+Both directions are bulk operations with the exact per-frame outcome.
+Filling is one ``try_alloc_run`` (the frame sequence of one order-0
+``try_alloc`` per page); the shuffle runs on a plain list, so the RNG
+stream is the per-frame one; releasing, the optional FMFI early stop and
+reclaim all go through the allocator's ``free_frames``, which leaves the
+free lists in the order per-frame ``free`` calls would.
 """
 
 from __future__ import annotations
@@ -33,9 +39,13 @@ def fmfi(buddy: BuddyAllocator, order: int = 9) -> float:
     free = buddy.free_pages
     if free == 0:
         return 1.0
+    return (free - usable_pages(buddy, order)) / free
+
+
+def usable_pages(buddy: BuddyAllocator, order: int) -> int:
+    """Free pages sitting in blocks of at least ``order``."""
     counts = buddy.free_block_counts()
-    usable = sum((1 << o) * n for o, n in enumerate(counts) if o >= order)
-    return (free - usable) / free
+    return sum((1 << o) * n for o, n in enumerate(counts) if o >= order)
 
 
 class Fragmenter:
@@ -65,46 +75,58 @@ class Fragmenter:
         Returns the resulting order-9 FMFI.  ``target_fmfi`` stops early
         once the index is reached (useful for partially fragmented setups).
         """
-        taken: list[int] = []
-        while True:
-            got = self.buddy.try_alloc(order=0, prefer_zero=False, owner=FILE_CACHE_OWNER)
-            if got is None:
-                break
-            taken.append(got[0])
+        buddy = self.buddy
+        taken = [
+            frame
+            for start, count, _ in buddy.try_alloc_run(
+                buddy.free_pages, prefer_zero=False, owner=FILE_CACHE_OWNER)
+            for frame in range(start, start + count)
+        ]
         self._rng.shuffle(taken)
         keep = int(len(taken) * keep_fraction)
         kept, to_free = taken[:keep], taken[keep:]
         self._cache_pages.update(kept)
-        # The early-stop check used to recompute the index after every
-        # freed frame.  Between frees that do not coalesce up to the huge
-        # order, `usable` is constant while `free` grows, so the index is
-        # non-decreasing — it can only drop below the target at a free
-        # whose block reaches order >= HUGE_PAGE_ORDER.  Checking only at
-        # those events (plus the first free, for degenerate targets that
-        # are already met) stops at exactly the same frame as the
-        # every-free scan.
-        for i, frame in enumerate(to_free):
-            end_order = self.buddy.free(frame, 0)
-            if (
-                target_fmfi is not None
-                and (i == 0 or end_order >= HUGE_PAGE_ORDER)
-                and fmfi(self.buddy) <= target_fmfi
-            ):
-                self._cache_pages.update(to_free[i + 1:])
-                return fmfi(self.buddy)
-        return fmfi(self.buddy)
+        if target_fmfi is not None and to_free:
+            stop = self._stop_index(to_free, target_fmfi)
+            self._cache_pages.update(to_free[stop + 1:])
+            to_free = to_free[:stop + 1]
+        buddy.free_frames(to_free)
+        return fmfi(buddy)
+
+    def _stop_index(self, to_free: list[int], target_fmfi: float) -> int:
+        """Index of the free after which FMFI first drops to ``target_fmfi``.
+
+        Between frees that complete no aligned order-9 block, ``usable``
+        is constant while ``free`` grows, so the index is non-decreasing:
+        it can only reach the target at the first free (for degenerate
+        targets that are already met) or at a completion.  Those are the
+        only candidates checked, each from the counts FMFI would read.
+        """
+        buddy = self.buddy
+        done = buddy.completion_indices(to_free, HUGE_PAGE_ORDER)
+        free0 = buddy.free_pages
+        usable0 = usable_pages(buddy, HUGE_PAGE_ORDER)
+        # (free index, order-9 blocks completed by then)
+        candidates = [(0, int(done.size > 0 and done[0] == 0))]
+        candidates += [(i, k + 1) for k, i in enumerate(done.tolist())]
+        for i, completed in candidates:
+            free = free0 + i + 1
+            usable = usable0 + (completed << HUGE_PAGE_ORDER)
+            if (free - usable) / free <= target_fmfi:
+                return i
+        return len(to_free) - 1
 
     def reclaim(self, npages: int) -> int:
         """Evict up to ``npages`` file-cache pages (memory-pressure path).
 
         Clean page-cache pages are the kernel's cheapest reclaim target;
-        the simulator evicts them before declaring out-of-memory.
+        the simulator evicts them before declaring out-of-memory.  Pages
+        leave in set-pop order and are freed in that order.
         """
-        evicted = 0
-        while self._cache_pages and evicted < npages:
-            self.buddy.free(self._cache_pages.pop(), 0)
-            evicted += 1
-        return evicted
+        evicted = [self._cache_pages.pop()
+                   for _ in range(min(npages, len(self._cache_pages)))]
+        self.buddy.free_frames(evicted)
+        return len(evicted)
 
     def release_all(self) -> int:
         """Drop the entire simulated file cache."""

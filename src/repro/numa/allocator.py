@@ -17,10 +17,12 @@ asked to land.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import AllocationError
-from repro.mem.buddy import BuddyAllocator
+from repro.mem.buddy import BuddyAllocator, frees_valid
 from repro.mem.compaction import CompactionStats, Compactor, MigrateFn
 from repro.mem.frames import NO_OWNER, FrameTable
 from repro.numa.topology import NodeMap, NumaTopology
@@ -167,6 +169,39 @@ class NodeAllocator:
             stop = min(end, zone.end)
             zone.free_range(start, stop - start)
             start = stop
+
+    def free_frames(self, frames: Sequence[int] | np.ndarray) -> None:
+        """Free order-0 frames, each zone's share in sequence order.
+
+        Zones keep independent free lists, so only the order within a
+        zone matters.  Invalid input replays the scalar loop over the
+        whole sequence, so the error and partial state match per-frame
+        :meth:`free` calls.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size == 0:
+            return
+        if not frees_valid(self.frames, idx, 0, self.frames.num_frames):
+            for frame in idx.tolist():
+                self.free(frame, 0)
+            return
+        nodes = self.node_of_arr(idx)
+        for node, zone in enumerate(self.zones):
+            zone.free_frames(idx[nodes == node])
+
+    def completion_indices(
+        self, frames: Sequence[int] | np.ndarray, order: int
+    ) -> np.ndarray:
+        """:meth:`BuddyAllocator.completion_indices` over every zone."""
+        idx = np.asarray(frames, dtype=np.int64)
+        if idx.size and not frees_valid(self.frames, idx, 0, self.frames.num_frames):
+            raise AllocationError("not a sequence of distinct allocated frames")
+        nodes = self.node_of_arr(idx)
+        done = [np.zeros(0, dtype=np.int64)]
+        for node, zone in enumerate(self.zones):
+            at = np.flatnonzero(nodes == node)
+            done.append(at[zone.completion_indices(idx[at], order)])
+        return np.sort(np.concatenate(done))
 
     def carve_range(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Carve free blocks out of [lo, hi), split at zone boundaries."""

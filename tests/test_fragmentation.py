@@ -48,11 +48,14 @@ def test_fragment_with_target_fmfi_stops_early():
     assert frag.cache_pages > 0, "early stop retains extra pages in the cache"
 
 
-def naive_fragment(frag: Fragmenter, keep_fraction: float, target_fmfi: float):
-    """Reference implementation: recompute FMFI after every single free.
+def naive_fragment(frag: Fragmenter, keep_fraction: float,
+                   target_fmfi: float | None = None):
+    """Reference implementation: one scalar allocation and one scalar free
+    per frame, with FMFI recomputed after every single free.
 
-    This is the O(frees x fmfi) loop the incremental early-stop check in
-    ``Fragmenter.fragment`` replaced; kept here to pin exact equivalence.
+    ``Fragmenter.fragment`` replaced these loops with one extent
+    allocation, one bulk ``free_frames`` and an early stop checked only at
+    order-9 completions; kept here to pin exact equivalence.
     """
     taken = []
     while True:
@@ -66,23 +69,89 @@ def naive_fragment(frag: Fragmenter, keep_fraction: float, target_fmfi: float):
     frag._cache_pages.update(kept)
     for i, frame in enumerate(to_free):
         frag.buddy.free(frame, 0)
-        if fmfi(frag.buddy) <= target_fmfi:
+        if target_fmfi is not None and fmfi(frag.buddy) <= target_fmfi:
             frag._cache_pages.update(to_free[i + 1:])
             return fmfi(frag.buddy)
     return fmfi(frag.buddy)
 
 
+_LEDGER_COLUMNS = ("live", "alloc_pid", "alloc_order", "alloc_epoch",
+                   "alloc_site", "ev_code", "ev_epoch", "ev_arg", "ev_len")
+
+
+def full_state(frag: Fragmenter) -> dict:
+    """Everything a later allocation or report can observe."""
+    buddy = frag.buddy
+    frames = buddy.frames
+    state = {
+        "zero": [list(d.items()) for d in buddy._zero],
+        "nonzero": [list(d.items()) for d in buddy._nonzero],
+        "block_order": list(buddy._block_order.items()),
+        "free_pages": buddy.free_pages,
+        "frames": [getattr(frames, name).tolist()
+                   for name in ("allocated", "owner", "pinned")],
+        "cache": list(frag._cache_pages),
+        "rng": frag._rng.getstate(),
+    }
+    if (ledger := frames.ledger) is not None:
+        state["ledger"] = [getattr(ledger, name).tolist()
+                           for name in _LEDGER_COLUMNS]
+        state["events"] = ledger.events_recorded
+    return state
+
+
 @pytest.mark.parametrize("target", [0.3, 0.6, 0.9, 1.0])
 def test_target_fmfi_matches_every_free_reference(target):
     """The event-driven early stop lands on the exact same frame (and
-    therefore identical FMFI and cache contents) as the per-free scan."""
+    therefore identical FMFI, cache contents and buddy state) as the
+    per-free scan."""
     _, _, frag_fast = make(8192)
     _, _, frag_ref = make(8192)
     fast = frag_fast.fragment(keep_fraction=0.0, target_fmfi=target)
     ref = naive_fragment(frag_ref, keep_fraction=0.0, target_fmfi=target)
     assert fast == ref
     assert frag_fast.cache_pages == frag_ref.cache_pages
-    assert frag_fast._cache_pages == frag_ref._cache_pages
+    assert full_state(frag_fast) == full_state(frag_ref)
+
+
+@pytest.mark.parametrize("keep_fraction", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_fragment_matches_per_frame_reference(keep_fraction, seed):
+    """Without a target, the bulk path leaves every free list in the same
+    dict order, the same block orders and frame arrays, and then reclaims
+    the same pages."""
+    frames_fast, buddy_fast, _ = make(8192)
+    frames_ref, buddy_ref, _ = make(8192)
+    frag_fast = Fragmenter(buddy_fast, seed=seed)
+    frag_ref = Fragmenter(buddy_ref, seed=seed)
+    assert (frag_fast.fragment(keep_fraction=keep_fraction)
+            == naive_fragment(frag_ref, keep_fraction))
+    assert full_state(frag_fast) == full_state(frag_ref)
+    frag_fast.reclaim(100)
+    for _ in range(100):
+        frag_ref.buddy.free(frag_ref._cache_pages.pop(), 0)
+    assert full_state(frag_fast) == full_state(frag_ref)
+
+
+@pytest.mark.parametrize("target", [None, 0.6])
+def test_fragment_with_audit_matches_per_frame_reference(target):
+    """With an audit ledger attached the file-cache frames record order 0
+    and one ``freed`` event each, exactly as per-frame calls record."""
+    from repro import audit
+    from repro.experiments import Scale, make_kernel
+    from repro.units import GB
+
+    kernels = [make_kernel(8 * GB, "linux-4kb", Scale.from_denominator(256))
+               for _ in range(2)]
+    for kernel in kernels:
+        audit.attach(kernel)
+    fast, ref = (kernel.fragmenter for kernel in kernels)
+    assert (fast.fragment(keep_fraction=0.05, target_fmfi=target)
+            == naive_fragment(ref, 0.05, target))
+    assert full_state(fast) == full_state(ref)
+    ledger = kernels[0].audit.ledger
+    cache = sorted(fast._cache_pages)
+    assert (ledger.alloc_order[cache] == 0).all()
 
 
 def test_target_fmfi_checks_only_on_coalesce_events(monkeypatch):
