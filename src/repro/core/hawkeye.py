@@ -126,10 +126,9 @@ class HawkEyePolicy(HugePagePolicy):
             # Rare path: only processes with a §3.5 cap ever land here, so
             # the per-fault audit test stays off the common huge path.
             if (al := self.kernel.audit) is not None and al.enabled:
+                reason, inputs = self.limits.refusal(proc)
                 al.decide("fault_size", proc.name, proc.pid, vpn >> 9,
-                          "reject", "limit_cap", stage=1,
-                          inputs={"limit": self.limits.limit_for(proc),
-                                  "held": self.limits.held(proc)})
+                          "reject", reason, stage=1, inputs=inputs)
             return "base"
         return "huge"
 
@@ -228,9 +227,11 @@ class HawkEyePolicy(HugePagePolicy):
                 amap.remove(hvpn)
 
     def on_process_exit(self, proc: Process) -> None:
-        """Forget the exiting process's access_map and PMU samples."""
+        """Forget the exiting process's access_map, PMU samples and caps."""
         self.access_maps.pop(proc.pid, None)
         self.measured.pop(proc.pid, None)
+        if self.limits is not None:
+            self.limits.forget(proc)
 
     # ------------------------------------------------------------------ #
     # overhead beliefs                                                    #

@@ -14,18 +14,32 @@ Limits come in two flavours:
   name prefix (``prefix*``); each matching process is individually
   capped.
 * **group caps** — attached to a name prefix (``prefix*``), bounding the
-  *sum* of huge pages held across every live matching process, the way a
-  cgroup's ``hugetlb`` controller bounds a subtree.  Group occupancy is
-  computed live from the kernel's process list (when :meth:`bind` has
-  been called) or from the registered member set, so a killed-and-
-  restarted tenant can never leak its old holdings into the group's
-  budget — teardown clears the page table and drops the process from
-  the live list, and exited members are pruned before every sum.
+  *sum* of huge pages held across every matching process, the way a
+  cgroup's ``hugetlb`` controller bounds a subtree.
+
+A process is resolved once, the first time the registry meets it: its
+effective per-process cap and the groups it belongs to are fixed then.
+Each group owns a :class:`~repro.vm.page_table.HugeCounter` cell that is
+attached to every member's page table, and the page table charges the
+cell wherever its huge-mapping count changes (map, unmap/demote, and the
+teardown ``clear``).  A process therefore counts against its groups
+exactly while its page table maps huge pages, so a killed-and-restarted
+tenant can never leak its old holdings into the group's budget, and a
+check costs O(groups of the process) instead of a rescan of every live
+process.  The registry meets processes at :meth:`HugePageLimits.bind`
+and :meth:`HugePageLimits.set_group_limit` (everything already in the
+kernel's process list), at ``Kernel.spawn`` (through the policy's
+``limits`` slot), and otherwise at their first check.
 """
 
 from __future__ import annotations
 
+from repro.vm.page_table import HugeCounter
 from repro.vm.process import Process
+
+#: one resolved process: per-process cap (None = unlimited), its groups as
+#: ``(prefix, cell, group cap)``, and the process itself.
+_Entry = tuple[int | None, tuple[tuple[str, HugeCounter, int], ...], Process]
 
 
 class HugePageLimits:
@@ -35,20 +49,22 @@ class HugePageLimits:
                  group_limits: dict[str, int] | None = None):
         self._exact: dict[str, int] = {}
         self._prefix: list[tuple[str, int]] = []
-        for pattern, cap in (limits or {}).items():
-            self.set_limit(pattern, cap)
-        #: prefix -> cap on the SUM of huge pages held by live members.
+        #: prefix -> cap on the SUM of huge pages held by its members.
         self._group_caps: dict[str, int] = {}
-        for pattern, cap in (group_limits or {}).items():
-            self.set_group_limit(pattern, cap)
-        #: kernel whose live process list defines group membership (set
-        #: by :meth:`bind`); without it, membership is tracked explicitly.
+        #: prefix -> the cell attached to every member's page table.
+        self._counters: dict[str, HugeCounter] = {}
+        #: pid -> resolution of every process met and not yet exited.
+        self._met: dict[int, _Entry] = {}
+        #: kernel whose process list is met at bind / set_group_limit.
         self._kernel = None
-        self._members: dict[str, list[Process]] = {}
         #: promotion attempts refused because a cap was reached.
         self.refusals = 0
         #: the subset of refusals caused by a *group* cap.
         self.group_refusals = 0
+        for pattern, cap in (limits or {}).items():
+            self.set_limit(pattern, cap)
+        for pattern, cap in (group_limits or {}).items():
+            self.set_group_limit(pattern, cap)
 
     def set_limit(self, pattern: str, cap: int) -> None:
         """Cap ``pattern`` (exact name, or ``prefix*``) at ``cap`` huge pages."""
@@ -58,78 +74,110 @@ class HugePageLimits:
             self._prefix.append((pattern[:-1], cap))
         else:
             self._exact[pattern] = cap
+        self._meet_all()
 
     def set_group_limit(self, pattern: str, cap: int) -> None:
         """Cap the summed holdings of every ``pattern`` process at ``cap``."""
         if cap < 0:
             raise ValueError(f"cap must be non-negative, got {cap}")
-        self._group_caps[pattern[:-1] if pattern.endswith("*") else pattern] = cap
+        prefix = pattern[:-1] if pattern.endswith("*") else pattern
+        self._group_caps[prefix] = cap
+        self._counters.setdefault(prefix, HugeCounter())
+        self._meet_all()
 
     def bind(self, kernel) -> None:
-        """Use ``kernel.processes`` as the group-membership source of truth."""
+        """Meet every process of ``kernel`` now and on each later cap change."""
         self._kernel = kernel
+        self._meet_all()
+
+    # ------------------------------------------------------------------ #
+    # resolution                                                          #
+    # ------------------------------------------------------------------ #
+
+    def meet(self, proc: Process) -> _Entry:
+        """(Re-)resolve ``proc`` and attach its page table to its groups.
+
+        Idempotent: a cell already attached to the table is not charged
+        twice, so re-resolving after a cap change only adds new groups.
+        """
+        name = proc.name
+        pt = proc.page_table
+        groups = []
+        for prefix, group_cap in self._group_caps.items():
+            if name.startswith(prefix):
+                counter = self._counters[prefix]
+                if counter not in pt.counters:
+                    counter.held += len(pt.huge)
+                    pt.counters += (counter,)
+                groups.append((prefix, counter, group_cap))
+        cap = self._exact.get(name)
+        if cap is None:
+            matches = [c for prefix, c in self._prefix if name.startswith(prefix)]
+            cap = min(matches) if matches else None
+        entry = (cap, tuple(groups), proc)
+        self._met[proc.pid] = entry
+        return entry
+
+    def forget(self, proc: Process) -> None:
+        """Drop an exited process's resolution (its table is already clear)."""
+        self._met.pop(proc.pid, None)
+
+    def _meet_all(self) -> None:
+        procs = [entry[2] for entry in self._met.values()]
+        if self._kernel is not None:
+            procs.extend(self._kernel.processes)
+        for proc in procs:
+            self.meet(proc)
+
+    def _entry(self, proc: Process) -> _Entry:
+        entry = self._met.get(proc.pid)
+        return entry if entry is not None else self.meet(proc)
+
+    # ------------------------------------------------------------------ #
+    # queries                                                             #
+    # ------------------------------------------------------------------ #
 
     def limit_for(self, proc: Process) -> int | None:
         """Effective per-process cap for ``proc``, or None when unlimited."""
-        if proc.name in self._exact:
-            return self._exact[proc.name]
-        matches = [cap for prefix, cap in self._prefix if proc.name.startswith(prefix)]
-        return min(matches) if matches else None
-
-    def held(self, proc: Process) -> int:
-        """Huge pages the process currently maps."""
-        return len(proc.page_table.huge)
-
-    # ------------------------------------------------------------------ #
-    # group accounting                                                    #
-    # ------------------------------------------------------------------ #
-
-    def _group_members(self, prefix: str) -> list[Process]:
-        if self._kernel is not None:
-            return [p for p in self._kernel.processes
-                    if p.name.startswith(prefix)]
-        members = self._members.get(prefix, [])
-        # Restart churn: an exited process keeps its (cleared) page table
-        # but must not linger in the member list forever.
-        members[:] = [p for p in members if not p.finished]
-        return members
-
-    def _track(self, proc: Process) -> None:
-        """Register ``proc`` as a member of every group it matches."""
-        if self._kernel is not None:
-            return
-        for prefix in self._group_caps:
-            if proc.name.startswith(prefix):
-                members = self._members.setdefault(prefix, [])
-                if proc not in members:
-                    members.append(proc)
+        return self._entry(proc)[0]
 
     def group_held(self, prefix: str) -> int:
-        """Huge pages currently held across a group's live members."""
-        return sum(len(p.page_table.huge) for p in self._group_members(prefix))
+        """Huge pages currently held across a group's members."""
+        return self._counters[prefix].held
 
     def group_stats(self) -> dict[str, tuple[int, int]]:
         """``prefix -> (held, cap)`` for every configured group."""
-        return {prefix: (self.group_held(prefix), cap)
+        return {prefix: (self._counters[prefix].held, cap)
                 for prefix, cap in sorted(self._group_caps.items())}
-
-    def _group_blocks(self, proc: Process) -> bool:
-        """True when a group cap forbids one more huge page for ``proc``."""
-        for prefix, cap in self._group_caps.items():
-            if proc.name.startswith(prefix):
-                self._track(proc)
-                if self.group_held(prefix) >= cap:
-                    return True
-        return False
 
     def may_promote(self, proc: Process) -> bool:
         """True when ``proc`` may receive one more huge page."""
-        cap = self.limit_for(proc)
-        if cap is not None and self.held(proc) >= cap:
+        entry = self._met.get(proc.pid)
+        if entry is None:
+            entry = self.meet(proc)
+        cap, groups, _ = entry
+        if cap is not None and len(proc.page_table.huge) >= cap:
             self.refusals += 1
             return False
-        if self._group_caps and self._group_blocks(proc):
-            self.refusals += 1
-            self.group_refusals += 1
-            return False
+        for _, counter, group_cap in groups:
+            if counter.held >= group_cap:
+                self.refusals += 1
+                self.group_refusals += 1
+                return False
         return True
+
+    def refusal(self, proc: Process) -> tuple[str, dict]:
+        """Audit reason and inputs for a ``proc`` that :meth:`may_promote` refused.
+
+        ``limit_cap`` (per-process cap) with ``{limit, held}``, or
+        ``group_cap`` with the first full group's ``{group, held, cap}``.
+        """
+        cap, groups, _ = self._entry(proc)
+        held = len(proc.page_table.huge)
+        if cap is not None and held >= cap:
+            return "limit_cap", {"limit": cap, "held": held}
+        for prefix, counter, group_cap in groups:
+            if counter.held >= group_cap:
+                return "group_cap", {"group": prefix, "held": counter.held,
+                                     "cap": group_cap}
+        raise ValueError(f"{proc.name} (pid {proc.pid}) is under every cap")

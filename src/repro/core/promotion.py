@@ -150,9 +150,8 @@ class PromotionEngine:
         audited = self._audited
         if self.limits is not None and not self.limits.may_promote(proc):
             if audited:
-                self._decide(proc, -1, "reject", "limit_cap", stage=1,
-                             inputs={"limit": self.limits.limit_for(proc),
-                                     "held": self.limits.held(proc)})
+                reason, inputs = self.limits.refusal(proc)
+                self._decide(proc, -1, "reject", reason, stage=1, inputs=inputs)
             return None
         skip_bloat = self.skip_bloat_demoted()
         order = (

@@ -235,6 +235,8 @@ class Kernel:
             proc.home_node = proc.launch_index % self.numa.nodes
         proc.mempolicy = mempolicy
         self.processes.append(proc)
+        if (limits := getattr(self.policy, "limits", None)) is not None:
+            limits.meet(proc)
         self.pmu[proc.pid] = PMUCounters()
         run = WorkloadRun(self, proc, workload)
         self.runs.append(run)

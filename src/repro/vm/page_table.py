@@ -16,6 +16,14 @@ every mutation path updates the mirrors in the same call, and the few
 call sites that mutate a PTE *in place* (COW breaks, migration, page
 deduplication) re-sync via :meth:`PageTable.sync_pte` /
 :meth:`PageTable.sync_huge`.
+
+A table can also carry :class:`HugeCounter` cells shared with other
+tables (the §3.5 group caps attach one per group the process belongs
+to).  ``huge`` changes only in :meth:`PageTable.map_huge`,
+:meth:`PageTable.unmap_huge` (demotion goes through it) and
+:meth:`PageTable.clear`, and each of those charges its delta to every
+attached cell, so a cell always holds the summed huge-mapping count of
+its tables.
 """
 
 from __future__ import annotations
@@ -64,6 +72,15 @@ class HugePTE:
         self.dirty = False
 
 
+class HugeCounter:
+    """Huge mappings held across every page table the cell is attached to."""
+
+    __slots__ = ("held",)
+
+    def __init__(self) -> None:
+        self.held = 0
+
+
 class PageTable:
     """Both-granularity page table for one process."""
 
@@ -80,6 +97,8 @@ class PageTable:
         self._mhuge = np.full(
             _INITIAL_VPN_CAPACITY // PAGES_PER_HUGE, -1, dtype=np.int64
         )
+        #: shared cells charged with every change to ``len(huge)``.
+        self.counters: tuple[HugeCounter, ...] = ()
 
     # ------------------------------------------------------------------ #
     # mirror maintenance                                                 #
@@ -182,6 +201,8 @@ class PageTable:
         self.huge[hvpn] = pte
         self._ensure_huge(hvpn)
         self._mhuge[hvpn] = frame
+        for counter in self.counters:
+            counter.held += 1
         return pte
 
     def unmap_base(self, vpn: int) -> BasePTE:
@@ -214,6 +235,8 @@ class PageTable:
         if pte is None:
             raise InvalidAddressError(f"huge region {hvpn} not mapped")
         self._mhuge[hvpn] = -1
+        for counter in self.counters:
+            counter.held -= 1
         return pte
 
     # ------------------------------------------------------------------ #
@@ -333,6 +356,8 @@ class PageTable:
 
     def clear(self) -> None:
         """Drop every mapping (process teardown); mirrors reset wholesale."""
+        for counter in self.counters:
+            counter.held -= len(self.huge)
         self.base.clear()
         self.huge.clear()
         self.shared_zero_count = 0

@@ -126,7 +126,7 @@ def test_group_cap_restart_churn_does_not_leak():
 
 
 def test_group_cap_restart_churn_unbound_registry():
-    """Same property without a kernel: exited members are pruned."""
+    """Same property without a kernel: teardown's clear uncharges."""
     limits = HugePageLimits(group_limits={"svc-*": 1})
     old = Process("svc-a")
     assert limits.may_promote(old)
@@ -137,6 +137,79 @@ def test_group_cap_restart_churn_unbound_registry():
     fresh = Process("svc-a")
     assert limits.may_promote(fresh)
     assert limits.group_held("svc-") == 0
+
+
+def test_fleet_caps_join_existing_limits_while_tenants_hold_huge_pages():
+    """FleetManager installs a group cap into HawkEye limits that already
+    exist: the new group's counter starts at the tenants' holdings."""
+    from repro.fleet import FleetManager, FleetSpec
+    from tests.test_prop_limits import Idle
+
+    kernel = Kernel(
+        small_config(64),
+        lambda k: HawkEyePolicy(k, variant="g",
+                                huge_page_limits={"web-*": 8}),
+    )
+    limits = kernel.policy.limits
+    procs = {}
+    for name in ("batch-1", "batch-2", "web-1"):
+        proc = kernel.spawn(Idle(), name=name).proc
+        vma = kernel.mmap(proc, 4 * MB, "heap")
+        kernel.fault(proc, vma.start)
+        kernel.fault(proc, vma.start + PAGES_PER_HUGE)
+        assert proc.stats.huge_faults == 2
+        procs[name] = proc
+    FleetManager(kernel, FleetSpec(group_limits={"batch-*": 3}),
+                 scale_factor=1 / 128)
+    assert kernel.policy.limits is limits
+    assert kernel.policy.engine.limits is limits
+    assert limits.group_stats() == {"batch-": (4, 3)}
+    assert not limits.may_promote(procs["batch-2"])
+    assert limits.may_promote(procs["web-1"])
+    assert limits.limit_for(procs["web-1"]) == 8
+    kernel.exit_process(procs["batch-1"])
+    assert limits.group_held("batch-") == 2
+    assert limits.may_promote(procs["batch-2"])
+
+
+def test_refusal_names_the_cap_that_refused():
+    limits = HugePageLimits({"svc-db": 1}, group_limits={"svc-*": 2})
+    db, web = Process("svc-db"), Process("svc-web")
+    db.page_table.map_huge(1, 512)
+    assert not limits.may_promote(db)
+    assert limits.refusal(db) == ("limit_cap", {"limit": 1, "held": 1})
+    web.page_table.map_huge(1, 1024)
+    assert not limits.may_promote(web)
+    assert limits.refusal(web) == (
+        "group_cap", {"group": "svc-", "held": 2, "cap": 2})
+    assert limits.refusals == 2 and limits.group_refusals == 1
+
+
+def test_audit_records_group_refusals_as_group_cap():
+    """A group-cap refusal is audited with the group's numbers; a
+    per-process refusal keeps ``limit_cap`` with the process's."""
+    from repro import audit
+
+    kernel = Kernel(
+        small_config(64),
+        lambda k: HawkEyePolicy(k, variant="g", huge_page_limits={"t": 0},
+                                huge_page_group_limits={"svc-*": 1}),
+    )
+    log = audit.attach(kernel)
+    capped, cvma = make_proc(kernel, nbytes=4 * MB)
+    kernel.fault(capped, cvma.start)
+    first, fvma = _named_proc(kernel, "svc-a")
+    kernel.fault(first, fvma.start)
+    second, svma = _named_proc(kernel, "svc-b")
+    kernel.fault(second, svma.start)
+    audit.detach(kernel)
+    refused = {d.pid: d for d in log.decisions_for(point="fault_size")}
+    assert set(refused) == {capped.pid, second.pid}
+    assert refused[capped.pid].reason == "limit_cap"
+    assert refused[capped.pid].inputs == {"limit": 0, "held": 0}
+    assert refused[second.pid].reason == "group_cap"
+    assert refused[second.pid].inputs == {"group": "svc-", "held": 1, "cap": 1}
+    assert log.rejections["fault_size"] == {"limit_cap": 1, "group_cap": 1}
 
 
 def test_limits_telemetry_family():
