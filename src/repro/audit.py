@@ -163,14 +163,21 @@ class FrameLedger:
     def on_alloc(self, start: int, count: int, owner: int, order: int) -> None:
         """A frame range of order-``order`` blocks was marked allocated:
         open fresh records."""
-        sl = slice(start, start + count)
-        self.live[sl] = True
-        self.alloc_pid[sl] = owner
-        self.alloc_order[sl] = order
-        self.alloc_epoch[sl] = self.kernel.stats.epochs
-        self.alloc_site[sl] = (
+        self._open(slice(start, start + count), owner, order)
+
+    def on_alloc_frames(self, frames: np.ndarray, owner: int,
+                        order: int = 0) -> None:
+        """:meth:`on_alloc` over an array of distinct frames."""
+        self._open(frames, owner, order)
+
+    def _open(self, index, owner: int, order: int) -> None:
+        self.live[index] = True
+        self.alloc_pid[index] = owner
+        self.alloc_order[index] = order
+        self.alloc_epoch[index] = self.kernel.stats.epochs
+        self.alloc_site[index] = (
             SITE_KERNEL if owner == _KERNEL_OWNER else SITE_FAULT)
-        self.ev_len[sl] = 0
+        self.ev_len[index] = 0
 
     def on_free(self, start: int, count: int) -> None:
         """A frame range was marked free: close records, keep forensics."""
@@ -200,8 +207,11 @@ class FrameLedger:
         self.ev_len[start] += 1
         self.events_recorded += 1
 
-    def record_frames(self, frames: np.ndarray, ev: int, arg: int = 0) -> None:
-        """Append one lifecycle event to each of an array of distinct frames."""
+    def record_frames(self, frames: np.ndarray, ev: int, arg=0) -> None:
+        """Append one lifecycle event to each of an array of distinct frames.
+
+        ``arg`` is one value for all frames or an array with one per frame.
+        """
         pos = self.ev_len[frames] % RING_SLOTS
         self.ev_code[frames, pos] = ev
         self.ev_epoch[frames, pos] = self.kernel.stats.epochs
@@ -209,21 +219,25 @@ class FrameLedger:
         self.ev_len[frames] += 1
         self.events_recorded += len(frames)
 
-    def set_site(self, start: int, count: int, site: int) -> None:
-        """Re-attribute an allocation to a non-fault site (post-alloc)."""
-        self.alloc_site[start:start + count] = site
+    def set_site(self, frames, site: int) -> None:
+        """Re-attribute an allocation to a non-fault site (post-alloc).
 
-    def copy_provenance(self, old: int, new: int, count: int = 1) -> None:
-        """Provenance travels with page content (migration/compaction)."""
-        so, sn = slice(old, old + count), slice(new, new + count)
-        self.alloc_pid[sn] = self.alloc_pid[so]
-        self.alloc_order[sn] = self.alloc_order[so]
-        self.alloc_epoch[sn] = self.alloc_epoch[so]
-        self.alloc_site[sn] = self.alloc_site[so]
-        self.ev_code[sn] = self.ev_code[so]
-        self.ev_epoch[sn] = self.ev_epoch[so]
-        self.ev_arg[sn] = self.ev_arg[so]
-        self.ev_len[sn] = self.ev_len[so]
+        ``frames`` is a frame, a slice or an array of frames."""
+        self.alloc_site[frames] = site
+
+    def copy_provenance(self, old, new) -> None:
+        """Provenance travels with page content (migration/compaction).
+
+        ``old`` and ``new`` are matching frames, slices or arrays of
+        distinct frames."""
+        self.alloc_pid[new] = self.alloc_pid[old]
+        self.alloc_order[new] = self.alloc_order[old]
+        self.alloc_epoch[new] = self.alloc_epoch[old]
+        self.alloc_site[new] = self.alloc_site[old]
+        self.ev_code[new] = self.ev_code[old]
+        self.ev_epoch[new] = self.ev_epoch[old]
+        self.ev_arg[new] = self.ev_arg[old]
+        self.ev_len[new] = self.ev_len[old]
 
     # -- queries -------------------------------------------------------- #
 

@@ -138,11 +138,13 @@ class Kernel:
             from repro.numa.balance import NumaState
 
             self.buddy = NodeAllocator(self.frames, config.topology)
-            self.compactor = NodeCompactor(self.buddy, self._migrate_frame)
+            self.compactor = NodeCompactor(
+                self.buddy, self._migrate_frame, self._movable_frame)
             self.numa = NumaState(self)
         else:
             self.buddy = BuddyAllocator(self.frames)
-            self.compactor = Compactor(self.buddy, self._migrate_frame)
+            self.compactor = Compactor(
+                self.buddy, self._migrate_frame, self._movable_frame)
         self.fragmenter = Fragmenter(self.buddy)
         self.mmu = MMUModel(config.tlb)
         self.stats = KernelStats()
@@ -585,8 +587,23 @@ class Kernel:
                 rmap[start + i] = (proc, vpn + i)
             vpn += count
 
+    def _movable_frame(self, old: int) -> bool:
+        """Compaction check: would :meth:`_migrate_frame` move ``old``?
+
+        Reads the same reverse map, PTE and file-cache state without
+        changing any of it."""
+        entry = self._rmap.get(old)
+        if entry is None:
+            return self.fragmenter.holds(old)
+        proc, vpn = entry
+        pte = proc.page_table.base.get(vpn)
+        return pte is not None and pte.frame == old
+
     def _migrate_frame(self, old: int, new: int) -> bool:
-        """Compaction callback: rebind one base mapping old -> new."""
+        """Compaction callback: rebind one base mapping old -> new.
+
+        A stale reverse-map entry (its PTE no longer maps ``old``) is
+        dropped and the frame refused."""
         entry = self._rmap.pop(old, None)
         if entry is None:
             # Not process-mapped: clean page-cache pages are movable too.
@@ -690,7 +707,8 @@ class Kernel:
         if (al := self.audit) is not None and al.enabled:
             led = al.ledger
             if collapsed:
-                led.set_site(block, PAGES_PER_HUGE, audit_mod.SITE_PROMOTE)
+                led.set_site(slice(block, block + PAGES_PER_HUGE),
+                             audit_mod.SITE_PROMOTE)
                 al.decide(
                     "collapse_node", proc.name, proc.pid, hvpn,
                     "accept", "collapsed", stage=4,

@@ -227,48 +227,22 @@ class BuddyAllocator:
         """
         if max_pages <= 0:
             return None
-        first_nonzero = self.frames.first_nonzero
-        for want_zeroed in (prefer_zero, not prefer_zero):
-            lists = self._zero if want_zeroed else self._nonzero
-            for order in range(self.max_order + 1):
-                bucket = lists[order]
-                if not bucket:
-                    continue
-                start = next(reversed(bucket))  # the block popitem() would take
-                count = 1 << order
-                uniform = (
-                    want_zeroed  # zero-list blocks are all-zero by invariant
-                    or order == 0
-                    or bool((first_nonzero[start:start + count] >= 0).all())
-                )
-                if not uniform:
-                    # Mixed block: scalar draining would jump between the
-                    # zero and non-zero halves, so take exactly one page
-                    # through the scalar path.
-                    got = self.try_alloc(0, prefer_zero, owner)
-                    assert got is not None
-                    return got[0], 1, got[1]
-                del bucket[start]
-                del self._block_order[start]
-                self.free_pages -= count
-                take = min(count, max_pages)
-                self.frames.mark_allocated(start, take, owner)
-                if take < count:
-                    # Reinsert the un-drained tail exactly as the scalar
-                    # split cascade would have left it: the maximal buddy
-                    # decomposition of [start+take, start+count), at most
-                    # one piece per order.
-                    s, end = start + take, start + count
-                    while s < end:
-                        o = 0
-                        while s % (1 << (o + 1)) == 0 and s + (1 << (o + 1)) <= end:
-                            o += 1
-                        # content-uniform block: the tail keeps the
-                        # popped list's zero-ness
-                        self._insert(s, o, zeroed=want_zeroed)
-                        s += 1 << o
-                return start, take, want_zeroed
-        return None
+        found = self._lowest_bucket(prefer_zero)
+        if found is None:
+            return None
+        want_zeroed, order, bucket = found
+        start = next(reversed(bucket))  # the block popitem() would take
+        if not (want_zeroed or order == 0 or self._all_dirty(start, order)):
+            # Mixed block: scalar draining would jump between the zero
+            # and non-zero halves, so take exactly one page through the
+            # scalar path.
+            got = self.try_alloc(0, prefer_zero, owner)
+            assert got is not None
+            return got[0], 1, got[1]
+        take = min(1 << order, max_pages)
+        self._drain_uniform(start, order, take, want_zeroed)
+        self.frames.mark_allocated(start, take, owner)
+        return start, take, want_zeroed
 
     def try_alloc_run(
         self, npages: int, prefer_zero: bool = True, owner: int = NO_OWNER
@@ -289,6 +263,136 @@ class BuddyAllocator:
             extents.append(ext)
             remaining -= ext[1]
         return extents
+
+    def try_alloc_frames(
+        self, n: int, prefer_zero: bool = True, owner: int = NO_OWNER
+    ) -> np.ndarray:
+        """Allocate up to ``n`` order-0 frames; returns them in allocation order.
+
+        The frames, the free lists (with their dict order),
+        ``_block_order``, ``free_pages``, the frame table and the audit
+        ledger end up exactly as after ``n`` scalar ``try_alloc(0,
+        prefer_zero, owner)`` calls, and fewer frames come back only where
+        those calls would start returning None.  Each scalar call pops the
+        newest block of the lowest non-empty bucket, so a popped block is
+        drained before any other:
+
+        * an order-0 bucket yields its frames newest first;
+        * a content-uniform block yields its frames in ascending order
+          (as in :meth:`try_alloc_run_extent`);
+        * a mixed dirty block under ``prefer_zero=False`` is walked by
+          :meth:`_drain_mixed`;
+        * a mixed dirty block under ``prefer_zero=True`` sheds zero halves
+          that the next calls prefer, so it goes one scalar step at a time.
+
+        The frame table and ledger take one write for all the frames.
+        """
+        pieces: list[np.ndarray] = []
+        remaining = n
+        while remaining > 0:
+            found = self._lowest_bucket(prefer_zero)
+            if found is None:
+                break
+            want_zeroed, order, bucket = found
+            if order == 0:
+                got = [bucket.popitem()[0]
+                       for _ in range(min(len(bucket), remaining))]
+                for frame in got:
+                    del self._block_order[frame]
+                self.free_pages -= len(got)
+            else:
+                start = next(reversed(bucket))
+                if want_zeroed or self._all_dirty(start, order):
+                    take = min(1 << order, remaining)
+                    self._drain_uniform(start, order, take, want_zeroed)
+                    got = np.arange(start, start + take)
+                elif not prefer_zero:
+                    got = self._drain_mixed(start, order, remaining)
+                else:
+                    # marked here and again below with the rest: the
+                    # frame-table and ledger writes are idempotent
+                    got = [self.try_alloc(0, prefer_zero, owner)[0]]
+            pieces.append(np.asarray(got, dtype=np.int64))
+            remaining -= len(got)
+        if not pieces:
+            return np.zeros(0, dtype=np.int64)
+        frames = np.concatenate(pieces)
+        self.frames.mark_allocated_frames(frames, owner)
+        return frames
+
+    def _lowest_bucket(
+        self, prefer_zero: bool
+    ) -> tuple[bool, int, dict[int, None]] | None:
+        """``(zeroed, order, bucket)`` of the list an order-0 allocation pops."""
+        for want_zeroed in (prefer_zero, not prefer_zero):
+            lists = self._zero if want_zeroed else self._nonzero
+            for order, bucket in enumerate(lists):
+                if bucket:
+                    return want_zeroed, order, bucket
+        return None
+
+    def _all_dirty(self, start: int, order: int) -> bool:
+        return bool((self.frames.first_nonzero[start:start + (1 << order)]
+                     >= 0).all())
+
+    def _drain_uniform(self, start: int, order: int, take: int,
+                       zeroed: bool) -> None:
+        """Take the first ``take`` frames of a content-uniform free block.
+
+        Scalar draining splits off the right sibling of every block on the
+        path to the last frame taken, top-down; the siblings still free
+        are re-inserted in that order (their lists were empty: the block
+        came from the lowest non-empty bucket).
+        """
+        lists = self._zero if zeroed else self._nonzero
+        del lists[order][start]
+        del self._block_order[start]
+        self.free_pages -= 1 << order
+        last = take - 1
+        for o in range(order - 1, -1, -1):
+            if not (last >> o) & 1:
+                self._insert(start + ((last >> o | 1) << o), o, zeroed=zeroed)
+
+    def _drain_mixed(self, start: int, order: int, limit: int) -> list[int]:
+        """Scalar ``prefer_zero=False`` draining of a mixed dirty block.
+
+        Each scalar call pops the lowest-order dirty block, takes its
+        first frame and splits the rest: zero halves go onto the zero
+        lists, dirty halves onto the dirty lists, where the next calls
+        find them lowest order (lowest address) first.  The dirty lists
+        below ``order`` start empty, so the calls walk the block depth
+        first and the zero lists stay untouched until it is spent.  One
+        prefix sum classifies every half; up to ``limit`` frames are
+        taken, and the halves still free are inserted in the order the
+        scalar splits inserted them.
+        """
+        del self._nonzero[order][start]
+        del self._block_order[start]
+        self.free_pages -= 1 << order
+        csum = np.zeros((1 << order) + 1, dtype=np.int64)
+        np.cumsum(self.frames.first_nonzero[start:start + (1 << order)] >= 0,
+                  out=csum[1:])
+        dirty = csum.tolist()
+        #: every split-off half as [start, order, zeroed, still free].
+        halves: list[list] = []
+        stack: list[list] = [[start, order, False, True]]
+        taken: list[int] = []
+        while stack and len(taken) < limit:
+            block = stack.pop()
+            s, o = block[0], block[1]
+            block[3] = False
+            rel = s - start
+            for k in range(o - 1, -1, -1):
+                lo = rel + (1 << k)
+                half = [s + (1 << k), k, dirty[lo + (1 << k)] == dirty[lo], True]
+                halves.append(half)
+                if not half[2]:
+                    stack.append(half)  # lowest order ends on top
+            taken.append(s)
+        for s, o, zeroed, free in halves:
+            if free:
+                self._insert(s, o, zeroed=zeroed)
+        return taken
 
     # ------------------------------------------------------------------ #
     # freeing                                                            #
@@ -335,7 +439,7 @@ class BuddyAllocator:
         Used by compaction to keep destination allocations out of the
         chunk being emptied.  Blocks are power-of-two aligned, so any
         free block overlapping a *partially allocated* chunk lies fully
-        inside it.  Hand the blocks back with :meth:`insert_free_block`.
+        inside it.  Hand the blocks back with :meth:`restore_carved`.
         """
         carved: list[tuple[int, int]] = []
         s = lo
@@ -348,6 +452,34 @@ class BuddyAllocator:
             else:
                 s += 1
         return carved
+
+    def restore_carved(self, lo: int, hi: int, carved: list[tuple[int, int]],
+                       frames: np.ndarray) -> None:
+        """Hand back :meth:`carve_range`'s blocks, then free order-0 ``frames``.
+
+        Leaves the state :meth:`insert_free_block` per carved block
+        followed by ``free(f, 0)`` per frame would.  When the blocks and
+        frames tile ``[lo, hi)`` and that range is one aligned block of
+        this zone, that state is a single coalescing insert of the range:
+        every block inside it went onto the lists during the sequence, so
+        eager coalescing leaves no free buddies unmerged, and the last
+        free completes the range, which then merges outward as here.
+        """
+        idx = np.asarray(frames, dtype=np.int64)
+        size = hi - lo
+        order = size.bit_length() - 1
+        if (idx.size and size == 1 << order and lo % size == 0
+                and order <= self.max_order
+                and self.start <= lo and hi <= self.end
+                and sum(1 << o for _, o in carved) + idx.size == size
+                and frees_valid(self.frames, idx, lo, hi)):
+            self.frames.mark_free_frames(idx)
+            zeroed = not bool((self.frames.first_nonzero[lo:hi] >= 0).any())
+            self._coalesce_insert(lo, order, zeroed)
+            return
+        for start, o in carved:
+            self.insert_free_block(start, o)
+        self.free_frames(idx)
 
     def free_range(self, start: int, count: int) -> None:
         """Free an arbitrary page range, decomposed into maximal buddy blocks.

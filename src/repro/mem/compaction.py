@@ -18,12 +18,16 @@ import numpy as np
 
 from repro import audit
 from repro.mem.buddy import BuddyAllocator
-from repro.units import HUGE_PAGE_ORDER, PAGES_PER_HUGE
+from repro.units import PAGES_PER_HUGE
 
 #: Kernel-side callback that rebinds every reference to ``old`` frame onto
 #: ``new`` (page tables, rmap, file cache).  Returns False when the frame
 #: cannot be migrated, in which case compaction gives the chunk up.
 MigrateFn = Callable[[int, int], bool]
+
+#: Side-effect-free companion of :data:`MigrateFn`: True exactly when
+#: ``migrate(old, new)`` would succeed for any destination ``new``.
+MovableFn = Callable[[int], bool]
 
 
 @dataclass
@@ -52,12 +56,13 @@ class Compactor:
 
     buddy: BuddyAllocator
     migrate: MigrateFn
+    movable: MovableFn
     stats: CompactionStats = field(default_factory=CompactionStats)
     lo: int = 0
     hi: int | None = None
 
-    def _candidate_chunks(self) -> list[tuple[int, int]]:
-        """Huge-aligned chunks sorted by occupancy (emptiest first).
+    def _candidate_chunks(self) -> np.ndarray:
+        """Starts of huge-aligned chunks by occupancy (emptiest first).
 
         A chunk qualifies when it is partially allocated, contains no
         pinned frame, and is cheaper to empty than to leave (occupancy
@@ -69,21 +74,20 @@ class Compactor:
         last = hi // PAGES_PER_HUGE                  # one past the last
         nchunks = last - first
         if nchunks <= 0:
-            return []
+            return np.zeros(0, dtype=np.int64)
         window = slice(first * PAGES_PER_HUGE, last * PAGES_PER_HUGE)
         alloc = frames.allocated[window].reshape(nchunks, PAGES_PER_HUGE)
         pinned = frames.pinned[window].reshape(nchunks, PAGES_PER_HUGE)
         occupancy = alloc.sum(axis=1)
         ok = (occupancy > 0) & (occupancy <= PAGES_PER_HUGE // 2) & ~pinned.any(axis=1)
         order = np.argsort(occupancy, kind="stable")
-        return [((first + int(c)) * PAGES_PER_HUGE, int(occupancy[c]))
-                for c in order if ok[c]]
+        return (first + order[ok[order]]) * PAGES_PER_HUGE
 
     def run(self, budget_pages: int) -> CompactionStats:
         """Migrate up to ``budget_pages`` frames; returns stats for this run."""
         run_stats = CompactionStats(runs=1)
         frames = self.buddy.frames
-        for chunk_start, _ in self._candidate_chunks():
+        for chunk_start in self._candidate_chunks().tolist():
             # Recompute occupancy: destination pages from earlier chunks
             # may have landed here since the candidate list was built.
             occupancy = int(
@@ -104,60 +108,50 @@ class Compactor:
     def _empty_chunk(self, chunk_start: int, run_stats: CompactionStats) -> bool:
         """Migrate every allocated frame out of one huge-aligned chunk.
 
-        The chunk's own free blocks are carved off the free lists first
-        so destination allocations always land outside; migrated frames
-        are freed into the carved-out "hole" afterwards, letting buddy
-        coalescing rebuild the full order-9 block.
+        Leaves exactly the state of the per-frame loop: for each allocated
+        frame in ascending order, allocate a destination with
+        ``try_alloc(0, prefer_zero=False)`` and migrate, stopping at the
+        first frame that cannot move (freeing its destination) or when
+        destinations run out.  The chunk's own free blocks are carved off
+        the free lists first so destinations always land outside, and
+        handed back before the migrated frames are freed into the hole.
+
+        In bulk: the first immovable frame is found before allocating, so
+        one :meth:`~BuddyAllocator.try_alloc_frames` call draws exactly
+        the destinations the loop would; content and provenance move with
+        array writes; and a chunk left wholly free goes back as one
+        order-9 insert (:meth:`~BuddyAllocator.restore_carved`).
         """
         frames = self.buddy.frames
         chunk_end = chunk_start + PAGES_PER_HUGE
-        occupied = np.flatnonzero(frames.allocated[chunk_start:chunk_end]) + chunk_start
+        olds = np.flatnonzero(frames.allocated[chunk_start:chunk_end]) + chunk_start
+        movable = self.movable
+        stop = next((i for i, old in enumerate(olds.tolist()) if not movable(old)),
+                    olds.size)
         carved = self.buddy.carve_range(chunk_start, chunk_end)
-        ok = True
-        emptied: list[int] = []
-        for old in occupied:
-            new = self._alloc_outside(chunk_start, chunk_end)
-            if new is None:
-                ok = False
-                break
-            old = int(old)
+        news = self.buddy.try_alloc_frames(min(stop + 1, olds.size),
+                                           prefer_zero=False)
+        moved = min(stop, news.size)
+        olds_moved, news_moved = olds[:moved], news[:moved]
+        for old, new in zip(olds_moved.tolist(), news_moved.tolist()):
             if not self.migrate(old, new):
-                self.buddy.free(new, 0)
-                ok = False
-                break
-            # Content moves with the page.
-            frames.first_nonzero[new] = frames.first_nonzero[old]
-            frames.content_tag[new] = frames.content_tag[old]
-            frames.owner[new] = frames.owner[old]
-            # ... and so does its provenance (page_owner's
-            # __folio_copy_owner); the migration itself is an event on
-            # the destination frame, attributed to compaction.
-            if (led := frames.ledger) is not None and led.enabled:
-                led.copy_provenance(old, new)
-                led.record(new, 1, audit.EV_COMPACTED, old)
-                led.set_site(new, 1, audit.SITE_COMPACT)
-            emptied.append(old)
-        # Reassemble the hole only after all destinations are allocated,
-        # so in-chunk frames never re-enter the free lists mid-migration.
-        for start, order in carved:
-            self.buddy.insert_free_block(start, order)
-        for old in emptied:
-            self.buddy.free(old, 0)
-        run_stats.pages_moved += len(emptied)
-        return ok
-
-    def _alloc_outside(self, lo: int, hi: int) -> int | None:
-        """Allocate a destination frame outside ``[lo, hi)``.
-
-        The caller carved the chunk's free blocks off the free lists, so
-        a fresh allocation cannot land inside; the guard below is a
-        safety net only.
-        """
-        got = self.buddy.try_alloc(order=0, prefer_zero=False)
-        if got is None:
-            return None
-        frame = got[0]
-        if lo <= frame < hi:  # pragma: no cover - carved chunks prevent this
-            self.buddy.free(frame, 0)
-            return None
-        return frame
+                raise RuntimeError(f"frame {old} passed movable() but not migrate()")
+        if news.size > moved:
+            # The immovable frame's destination: the migrate call is kept
+            # because refusing may drop a stale reverse mapping.
+            self.migrate(int(olds[moved]), int(news[moved]))
+            self.buddy.free(int(news[moved]), 0)
+        # Content moves with the page ...
+        frames.first_nonzero[news_moved] = frames.first_nonzero[olds_moved]
+        frames.content_tag[news_moved] = frames.content_tag[olds_moved]
+        frames.owner[news_moved] = frames.owner[olds_moved]
+        # ... and so does its provenance (page_owner's
+        # __folio_copy_owner); the migration itself is an event on the
+        # destination frame, attributed to compaction.
+        if (led := frames.ledger) is not None and led.enabled:
+            led.copy_provenance(olds_moved, news_moved)
+            led.record_frames(news_moved, audit.EV_COMPACTED, olds_moved)
+            led.set_site(news_moved, audit.SITE_COMPACT)
+        self.buddy.restore_carved(chunk_start, chunk_end, carved, olds_moved)
+        run_stats.pages_moved += moved
+        return moved == olds.size

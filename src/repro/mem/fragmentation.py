@@ -16,7 +16,7 @@ low-order blocks.  The retained pages behave like page cache: they are
 contiguity broken until compaction migrates around them.
 
 Both directions are bulk operations with the exact per-frame outcome.
-Filling is one ``try_alloc_run`` (the frame sequence of one order-0
+Filling is one ``try_alloc_frames`` (the frame sequence of one order-0
 ``try_alloc`` per page); the shuffle runs on a plain list, so the RNG
 stream is the per-frame one; releasing, the optional FMFI early stop and
 reclaim all go through the allocator's ``free_frames``, which leaves the
@@ -61,6 +61,10 @@ class Fragmenter:
         """File-cache frames currently held (reclaimable)."""
         return len(self._cache_pages)
 
+    def holds(self, frame: int) -> bool:
+        """Whether ``frame`` is a file-cache page (and so movable)."""
+        return frame in self._cache_pages
+
     def migrate_page(self, old: int, new: int) -> bool:
         """Compaction support: clean page-cache pages are movable."""
         if old not in self._cache_pages:
@@ -76,12 +80,8 @@ class Fragmenter:
         once the index is reached (useful for partially fragmented setups).
         """
         buddy = self.buddy
-        taken = [
-            frame
-            for start, count, _ in buddy.try_alloc_run(
-                buddy.free_pages, prefer_zero=False, owner=FILE_CACHE_OWNER)
-            for frame in range(start, start + count)
-        ]
+        taken = buddy.try_alloc_frames(
+            buddy.free_pages, prefer_zero=False, owner=FILE_CACHE_OWNER).tolist()
         self._rng.shuffle(taken)
         keep = int(len(taken) * keep_fraction)
         kept, to_free = taken[:keep], taken[keep:]

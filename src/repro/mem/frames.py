@@ -151,6 +151,14 @@ class FrameTable:
         if (led := self.ledger) is not None and led.enabled:
             led.on_alloc(start, count, owner, order)
 
+    def mark_allocated_frames(self, frames: np.ndarray,
+                              owner: int = NO_OWNER) -> None:
+        """:meth:`mark_allocated` over an array of distinct order-0 frames."""
+        self.allocated[frames] = True
+        self.owner[frames] = owner
+        if (led := self.ledger) is not None and led.enabled:
+            led.on_alloc_frames(frames, owner)
+
     def mark_free(self, start: int, count: int) -> None:
         """Buddy bookkeeping: mark a frame range free and unpinned."""
         self.allocated[start:start + count] = False

@@ -3,7 +3,8 @@
 :class:`NodeAllocator` carves the shared :class:`FrameTable` into one
 :class:`BuddyAllocator` zone per node and re-exposes the *exact* method
 surface the kernel already consumes, so every existing caller (fault
-path, fragmenter, pre-zero thread, compaction, procfs) works unchanged.
+path, fragmenter, pre-zero thread, procfs) works unchanged; compaction
+runs zone by zone (:class:`NodeCompactor`).
 Buddy coalescing cannot cross zones by construction: a zone only merges
 with buddies present in its own block index.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.errors import AllocationError
 from repro.mem.buddy import BuddyAllocator, frees_valid
-from repro.mem.compaction import CompactionStats, Compactor, MigrateFn
+from repro.mem.compaction import CompactionStats, Compactor, MigrateFn, MovableFn
 from repro.mem.frames import NO_OWNER, FrameTable
 from repro.numa.topology import NodeMap, NumaTopology
 from repro.units import MAX_ORDER
@@ -143,6 +144,26 @@ class NodeAllocator:
             remaining -= ext[1]
         return extents
 
+    def try_alloc_frames(
+        self, n: int, prefer_zero: bool = True, owner: int = NO_OWNER,
+        node: int | None = None, strict: bool = False,
+    ) -> np.ndarray:
+        """Up to ``n`` order-0 frames, zone by zone in probe order.
+
+        Scalar calls move to the next zone only once a zone is dry, so
+        each zone's :meth:`BuddyAllocator.try_alloc_frames` share is the
+        same run of frames."""
+        pieces = [np.zeros(0, dtype=np.int64)]
+        for candidate in self._probe_order(node, strict):
+            if n <= 0:
+                break
+            got = self.zones[candidate].try_alloc_frames(n, prefer_zero, owner)
+            if got.size:
+                self._count(node, candidate, got.size)
+                pieces.append(got)
+                n -= got.size
+        return np.concatenate(pieces)
+
     # ------------------------------------------------------------------ #
     # freeing (routed to the owning zone; ranges split at zone bounds)   #
     # ------------------------------------------------------------------ #
@@ -150,10 +171,6 @@ class NodeAllocator:
     def free(self, start: int, order: int = 0) -> int:
         """Free a block back into its zone; returns the coalesced order."""
         return self.zones[self.node_of(start)].free(start, order)
-
-    def insert_free_block(self, start: int, order: int) -> int:
-        """Re-insert an already-table-free block into its zone."""
-        return self.zones[self.node_of(start)].insert_free_block(start, order)
 
     def free_range(self, start: int, count: int) -> None:
         """Free an arbitrary range, split at zone boundaries.
@@ -202,16 +219,6 @@ class NodeAllocator:
             at = np.flatnonzero(nodes == node)
             done.append(at[zone.completion_indices(idx[at], order)])
         return np.sort(np.concatenate(done))
-
-    def carve_range(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Carve free blocks out of [lo, hi), split at zone boundaries."""
-        carved: list[tuple[int, int]] = []
-        while lo < hi:
-            zone = self.zones[self.node_of(lo)]
-            stop = min(hi, zone.end)
-            carved.extend(zone.carve_range(lo, stop))
-            lo = stop
-        return carved
 
     # ------------------------------------------------------------------ #
     # pre-zeroing support                                                #
@@ -286,10 +293,11 @@ class NodeCompactor:
     the flat :class:`Compactor` does.
     """
 
-    def __init__(self, allocator: NodeAllocator, migrate: MigrateFn):
+    def __init__(self, allocator: NodeAllocator, migrate: MigrateFn,
+                 movable: MovableFn):
         self.stats = CompactionStats()
         self.compactors = [
-            Compactor(zone, migrate, lo=zone.start, hi=zone.end)
+            Compactor(zone, migrate, movable, lo=zone.start, hi=zone.end)
             for zone in allocator.zones
         ]
 

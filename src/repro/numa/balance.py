@@ -448,9 +448,10 @@ class NumaState:
             frames.content_tag[old:old + PAGES_PER_HUGE]
         if (al := kernel.audit) is not None and al.enabled:
             led = al.ledger
-            led.copy_provenance(old, new, PAGES_PER_HUGE)
+            led.copy_provenance(slice(old, old + PAGES_PER_HUGE),
+                                slice(new, new + PAGES_PER_HUGE))
             led.record(new, PAGES_PER_HUGE, audit.EV_MIGRATED, target)
-            led.set_site(new, PAGES_PER_HUGE, audit.SITE_NUMA)
+            led.set_site(slice(new, new + PAGES_PER_HUGE), audit.SITE_NUMA)
         pt.huge[hvpn].frame = new
         pt.sync_huge(hvpn, pt.huge[hvpn])
         kernel._rmap_huge.pop(old, None)
@@ -505,7 +506,7 @@ class NumaState:
                 led = al.ledger
                 led.copy_provenance(old, new)
                 led.record(new, 1, audit.EV_MIGRATED, target)
-                led.set_site(new, 1, audit.SITE_NUMA)
+                led.set_site(new, audit.SITE_NUMA)
             kernel.buddy.free(old, 0)
             moved += 1
         if moved:

@@ -1,8 +1,13 @@
-"""Property tests: bulk ``free_frames`` equals per-frame ``free(f, 0)``.
+"""Property tests: the bulk order-0 paths equal their per-frame loops.
 
-Two identical allocators (a deep copy after a random history) free the
-same order-0 frame sequence, one through ``free_frames`` and one through
-the scalar loop this file keeps as the reference.  Afterwards every free
+``free_frames`` must equal per-frame ``free(f, 0)``, and
+``try_alloc_frames(n, prefer_zero)`` must equal ``n`` scalar
+``try_alloc(0, prefer_zero)`` calls (the same frames in the same order,
+stopping where the scalar calls start returning None).
+
+Two identical allocators (a deep copy after a random history) run the
+same request, one through the bulk call and one through the scalar loop
+this file keeps as the reference.  Afterwards every free
 list's ``items()`` order, ``_block_order`` (with its order),
 ``free_pages``, the frame-table arrays and an attached audit ledger must
 be identical.  The history mixes scalar and extent allocations, frees,
@@ -10,6 +15,8 @@ dirty writes, pre-zeroing and a held-block free that leaves two free
 buddies unmerged, so the bulk free starts from arbitrary free-list
 states.  Invalid sequences (a double free, a frame listed twice) must
 raise the same ``AllocationError`` and leave the same partial state.
+Allocation runs also start from boot content with random dirt, so the
+seeded blocks themselves mix zero and dirty frames.
 """
 
 from __future__ import annotations
@@ -49,10 +56,21 @@ OPS = st.lists(
 FRACTIONS = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 
 
-@st.composite
-def buddies(draw):
-    """A whole-table allocator, or one zone with unaligned bounds."""
+def _frame_table(draw, dirt: bool) -> FrameTable:
+    """A fresh table; with ``dirt``, boot content carries random dirty
+    frames, so the seeded blocks already mix zero and dirty frames."""
     frames = FrameTable(NUM_FRAMES)
+    if dirt:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        density = draw(st.sampled_from([0.0, 0.02, 0.3, 0.9, 1.0]))
+        frames.first_nonzero[rng.random(NUM_FRAMES) < density] = 0
+    return frames
+
+
+@st.composite
+def buddies(draw, dirt: bool = False):
+    """A whole-table allocator, or one zone with unaligned bounds."""
+    frames = _frame_table(draw, dirt)
     if draw(st.booleans()):
         return BuddyAllocator(frames)
     start = draw(st.integers(0, NUM_FRAMES // 2))
@@ -62,7 +80,7 @@ def buddies(draw):
 
 
 @st.composite
-def node_allocators(draw):
+def node_allocators(draw, dirt: bool = False):
     """2-4 zones, default-aligned or cut at arbitrary frames."""
     nodes = draw(st.integers(2, 4))
     if draw(st.booleans()):
@@ -73,7 +91,7 @@ def node_allocators(draw):
         bounds = [0, *cuts, NUM_FRAMES]
         topology = NumaTopology(
             nodes=nodes, ranges=tuple(zip(bounds[:-1], bounds[1:])))
-    return NodeAllocator(FrameTable(NUM_FRAMES), topology)
+    return NodeAllocator(_frame_table(draw, dirt), topology)
 
 
 def _attach_ledger(frames: FrameTable) -> None:
@@ -237,3 +255,57 @@ def test_unmerged_free_buddies_stay_unmerged():
     alloc.free_frames(seq)
     assert _snapshot(alloc) == _snapshot(scalar)
     assert alloc._block_order == {0: 8, 256: 8, 512: 9}
+
+
+# ---------------------------------------------------------------------- #
+# try_alloc_frames                                                        #
+# ---------------------------------------------------------------------- #
+
+
+def _scalar_frames(alloc, n: int, prefer_zero: bool, owner: int) -> list[int]:
+    """Reference: one scalar order-0 allocation per frame."""
+    out = []
+    for _ in range(n):
+        got = alloc.try_alloc(0, prefer_zero, owner)
+        if got is None:
+            break
+        out.append(got[0])
+    return out
+
+
+def _numa_counters(alloc) -> tuple:
+    return tuple(getattr(alloc, name, None)
+                 for name in ("numa_hit", "numa_miss", "numa_foreign"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(alloc=st.one_of(buddies(dirt=True), node_allocators(dirt=True)),
+       ops=OPS, prefer_zero=st.booleans(),
+       share=st.one_of(st.just(1.0), st.floats(0.0, 1.2)),
+       extra=st.integers(0, 3), owner=st.integers(-3, 9))
+def test_try_alloc_frames_matches_scalar_allocs(alloc, ops, prefer_zero,
+                                                share, extra, owner):
+    bulk, scalar = _twins(alloc, ops)
+    n = int(bulk.free_pages * share) + extra
+    want = _scalar_frames(scalar, n, prefer_zero, owner)
+    got = bulk.try_alloc_frames(n, prefer_zero, owner)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert _snapshot(bulk) == _snapshot(scalar)
+    assert _numa_counters(bulk) == _numa_counters(scalar)
+
+
+@pytest.mark.parametrize("prefer_zero", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 16, 40])
+def test_try_alloc_frames_stops_inside_a_mixed_block(prefer_zero, n):
+    """A dirty order-4 block with zero frames scattered inside: the drain
+    may stop at any frame, leaving the halves the scalar calls left."""
+    frames = FrameTable(64)
+    frames.first_nonzero[:] = 0
+    frames.first_nonzero[[1, 4, 5, 6, 7, 10, 11, 33]] = -1
+    alloc = BuddyAllocator(frames, max_order=4)
+    _attach_ledger(frames)
+    scalar = copy.deepcopy(alloc)
+    want = _scalar_frames(scalar, n, prefer_zero, 7)
+    assert alloc.try_alloc_frames(n, prefer_zero, 7).tolist() == want
+    assert _snapshot(alloc) == _snapshot(scalar)
