@@ -165,10 +165,9 @@ class FrameLedger:
         open fresh records."""
         self._open(slice(start, start + count), owner, order)
 
-    def on_alloc_frames(self, frames: np.ndarray, owner: int,
-                        order: int = 0) -> None:
-        """:meth:`on_alloc` over an array of distinct frames."""
-        self._open(frames, owner, order)
+    def on_alloc_frames(self, frames: np.ndarray, owner: int) -> None:
+        """:meth:`on_alloc` over an array of distinct order-0 frames."""
+        self._open(frames, owner, 0)
 
     def _open(self, index, owner: int, order: int) -> None:
         self.live[index] = True

@@ -602,16 +602,18 @@ class Kernel:
     def _migrate_frame(self, old: int, new: int) -> bool:
         """Compaction callback: rebind one base mapping old -> new.
 
-        A stale reverse-map entry (its PTE no longer maps ``old``) is
-        dropped and the frame refused."""
+        Moves exactly the frames :meth:`_movable_frame` accepts.  A
+        refused frame's stale reverse-map entry (its PTE no longer maps
+        ``old``) is dropped."""
+        if not self._movable_frame(old):
+            self._rmap.pop(old, None)
+            return False
         entry = self._rmap.pop(old, None)
         if entry is None:
-            # Not process-mapped: clean page-cache pages are movable too.
+            # Not process-mapped: a clean page-cache page.
             return self.fragmenter.migrate_page(old, new)
         proc, vpn = entry
-        pte = proc.page_table.base.get(vpn)
-        if pte is None or pte.frame != old:
-            return False
+        pte = proc.page_table.base[vpn]
         pte.frame = new
         proc.page_table.sync_pte(vpn, pte)
         self._rmap[new] = (proc, vpn)

@@ -207,7 +207,7 @@ class BuddyAllocator:
         return got
 
     # ------------------------------------------------------------------ #
-    # bulk allocation (the batched fault fast path)                      #
+    # bulk order-0 allocation                                            #
     # ------------------------------------------------------------------ #
 
     def try_alloc_run_extent(
@@ -243,26 +243,6 @@ class BuddyAllocator:
         self._drain_uniform(start, order, take, want_zeroed)
         self.frames.mark_allocated(start, take, owner)
         return start, take, want_zeroed
-
-    def try_alloc_run(
-        self, npages: int, prefer_zero: bool = True, owner: int = NO_OWNER
-    ) -> list[tuple[int, int, bool]]:
-        """Allocate up to ``npages`` order-0 frames as a list of extents.
-
-        Returns ``(start, count, zeroed)`` extents totalling ``npages``
-        pages, or fewer only when the allocator runs dry (the same
-        boundary at which scalar ``try_alloc(0)`` would return None).
-        Scalar-equivalent: see :meth:`try_alloc_run_extent`.
-        """
-        extents: list[tuple[int, int, bool]] = []
-        remaining = npages
-        while remaining > 0:
-            ext = self.try_alloc_run_extent(remaining, prefer_zero, owner)
-            if ext is None:
-                break
-            extents.append(ext)
-            remaining -= ext[1]
-        return extents
 
     def try_alloc_frames(
         self, n: int, prefer_zero: bool = True, owner: int = NO_OWNER

@@ -128,38 +128,21 @@ class NodeAllocator:
                 return ext
         return None
 
-    def try_alloc_run(
-        self, npages: int, prefer_zero: bool = True, owner: int = NO_OWNER,
-        node: int | None = None, strict: bool = False,
-    ) -> list[tuple[int, int, bool]]:
-        """Up to ``npages`` order-0 frames as a list of extents."""
-        extents: list[tuple[int, int, bool]] = []
-        remaining = npages
-        while remaining > 0:
-            ext = self.try_alloc_run_extent(
-                remaining, prefer_zero, owner, node=node, strict=strict)
-            if ext is None:
-                break
-            extents.append(ext)
-            remaining -= ext[1]
-        return extents
-
     def try_alloc_frames(
         self, n: int, prefer_zero: bool = True, owner: int = NO_OWNER,
-        node: int | None = None, strict: bool = False,
     ) -> np.ndarray:
-        """Up to ``n`` order-0 frames, zone by zone in probe order.
+        """Up to ``n`` order-0 frames, zone by zone in node-0 fallback order.
 
         Scalar calls move to the next zone only once a zone is dry, so
         each zone's :meth:`BuddyAllocator.try_alloc_frames` share is the
         same run of frames."""
         pieces = [np.zeros(0, dtype=np.int64)]
-        for candidate in self._probe_order(node, strict):
+        for candidate in self._fallback[0]:
             if n <= 0:
                 break
             got = self.zones[candidate].try_alloc_frames(n, prefer_zero, owner)
             if got.size:
-                self._count(node, candidate, got.size)
+                self._count(None, candidate, got.size)
                 pieces.append(got)
                 n -= got.size
         return np.concatenate(pieces)

@@ -166,10 +166,10 @@ class PageTable:
     ) -> int:
         """Install base PTEs for consecutive vpns over physical ``extents``.
 
-        ``extents`` is a list of ``(start_frame, count, zeroed)`` runs (the
-        shape :meth:`repro.mem.buddy.BuddyAllocator.try_alloc_run` returns);
-        virtual pages ``vpn0, vpn0+1, ...`` map onto the extents' frames in
-        order.  One bounds/overlap check per run replaces the per-page
+        ``extents`` is a list of ``(start_frame, count, zeroed)`` runs (each
+        one :meth:`repro.mem.buddy.BuddyAllocator.try_alloc_run_extent`
+        result); virtual pages ``vpn0, vpn0+1, ...`` map onto the extents'
+        frames in order.  One bounds/overlap check per run replaces the per-page
         checks of :meth:`map_base`.  Returns the number of PTEs installed.
         """
         total = sum(count for _, count, _ in extents)

@@ -26,6 +26,18 @@ def make_buddy(num_frames=4096):
     return frames, BuddyAllocator(frames)
 
 
+def alloc_extents(buddy, npages):
+    """The fault path's loop: extents until ``npages`` or the zone is dry."""
+    extents = []
+    while npages > 0:
+        ext = buddy.try_alloc_run_extent(npages)
+        if ext is None:
+            break
+        extents.append(ext)
+        npages -= ext[1]
+    return extents
+
+
 def test_extent_consumes_uniform_block_wholesale():
     _, buddy = make_buddy(1024)
     got = buddy.try_alloc_run_extent(1024)
@@ -39,7 +51,7 @@ def test_extent_matches_scalar_frame_sequence():
     _, buddy_b = make_buddy(512)
     scalar = [buddy_a.try_alloc(0)[0] for _ in range(300)]
     bulk = []
-    for start, count, _ in buddy_b.try_alloc_run(300):
+    for start, count, _ in alloc_extents(buddy_b, 300):
         bulk.extend(range(start, start + count))
     assert bulk == scalar
 
@@ -50,7 +62,7 @@ def test_partial_extent_reinserts_identical_remainder():
     _, buddy_b = make_buddy(256)
     for _ in range(37):
         buddy_a.try_alloc(0)
-    buddy_b.try_alloc_run(37)
+    alloc_extents(buddy_b, 37)
     for order in range(buddy_a.max_order + 1):
         assert list(buddy_a._zero[order]) == list(buddy_b._zero[order])
         assert list(buddy_a._nonzero[order]) == list(buddy_b._nonzero[order])
@@ -60,7 +72,7 @@ def test_partial_extent_reinserts_identical_remainder():
 def test_mixed_content_block_falls_back_to_single_page():
     """A non-uniform block cannot be drained in one extent."""
     frames, buddy = make_buddy(8)
-    run = buddy.try_alloc_run(8)
+    alloc_extents(buddy, 8)
     frames.write(1, first_nonzero=3)  # frame 1 non-zero, rest zero
     buddy.free_range(0, 8)            # one order-3 block, mixed content
     got = buddy.try_alloc_run_extent(8, prefer_zero=False)
@@ -69,7 +81,7 @@ def test_mixed_content_block_falls_back_to_single_page():
 
 def test_run_dry_allocator_returns_short():
     _, buddy = make_buddy(16)
-    extents = buddy.try_alloc_run(64)
+    extents = alloc_extents(buddy, 64)
     assert sum(c for _, c, _ in extents) == 16
     assert buddy.try_alloc_run_extent(1) is None
 

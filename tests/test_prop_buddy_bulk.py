@@ -112,9 +112,16 @@ def _history(alloc, ops) -> None:
             if got is not None:
                 live.append((got[0], order))
         elif kind == "run":
-            for start, count, _ in alloc.try_alloc_run(
-                    pick % 300 + 1, prefer_zero=pick % 2 == 0, owner=7):
+            # The fault path's extent loop.
+            want = pick % 300 + 1
+            while want > 0:
+                ext = alloc.try_alloc_run_extent(
+                    want, prefer_zero=pick % 2 == 0, owner=7)
+                if ext is None:
+                    break
+                start, count, _ = ext
                 live.extend((f, 0) for f in range(start, start + count))
+                want -= count
         elif kind == "free" and live:
             alloc.free(*live.pop(pick % len(live)))
         elif kind == "write" and live:
@@ -241,7 +248,7 @@ def test_unmerged_free_buddies_stay_unmerged():
     frames = FrameTable(2048)
     alloc = BuddyAllocator(frames)
     _attach_ledger(frames)
-    alloc.try_alloc_run(2048)
+    alloc.try_alloc_frames(2048)
     frames.write(0)
     alloc.free_range(0, 256)
     held = alloc.pop_nonzero_block()
