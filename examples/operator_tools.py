@@ -66,7 +66,7 @@ def main() -> None:
         sorted(Counter(e.process for e in promotions).items()),
     ))
     redis_proc = kernel.processes[0]
-    print(f"\nRedis holds {len(redis_proc.page_table.huge)} huge pages "
+    print(f"\nRedis holds {redis_proc.page_table.huge_count} huge pages "
           f"(cap: 8); cap refusals: {kernel.policy.limits.refusals}")
 
     print("\n# Promotion timeline (events per 60 s bucket)")

@@ -1015,6 +1015,7 @@ def cmd_pagemap(args) -> int:
     columns (allocation site/pid/epoch, last lifecycle event).
     """
     from repro.units import PAGES_PER_HUGE
+    from repro.vm.page_table import ACCESSED, DIRTY, SHARED_COW, SHARED_ZERO
 
     result, log = _attach_audit(args)
     kernel, proc = result["kernel"], result["run"].proc
@@ -1034,22 +1035,23 @@ def cmd_pagemap(args) -> int:
     status = 0 if result["outcome"] == "completed" else 1
     if args.region is not None:
         hvpn = args.region
-        huge = pt.huge.get(hvpn)
+        hframe = pt.huge_frame_of(hvpn)
+        hflags = pt.huge_flags_of(hvpn)
         rows = []
         for vpn in range(hvpn * PAGES_PER_HUGE, (hvpn + 1) * PAGES_PER_HUGE):
-            if huge is not None:
-                frame = huge.frame + (vpn - hvpn * PAGES_PER_HUGE)
-                flags = ("HA" if huge.accessed else "H-") \
-                    + ("D" if huge.dirty else "-")
+            if hframe >= 0:
+                frame = hframe + (vpn - hvpn * PAGES_PER_HUGE)
+                flags = ("HA" if hflags & ACCESSED else "H-") \
+                    + ("D" if hflags & DIRTY else "-")
             else:
-                pte = pt.base.get(vpn)
-                if pte is None:
+                frame = pt.frame_of(vpn)
+                if frame < 0:
                     continue
-                frame = pte.frame
-                flags = ("-" + ("A" if pte.accessed else "-")
-                         + ("D" if pte.dirty else "-")
-                         + ("Z" if pte.shared_zero else "")
-                         + ("C" if pte.shared_cow else ""))
+                bits = pt.flags_of(vpn)
+                flags = ("-" + ("A" if bits & ACCESSED else "-")
+                         + ("D" if bits & DIRTY else "-")
+                         + ("Z" if bits & SHARED_ZERO else "")
+                         + ("C" if bits & SHARED_COW else ""))
             d, last = prov(frame)
             rows.append([vpn, frame, flags, node_of(frame),
                          "yes" if d["live"] else "no", d["site"],
@@ -1070,17 +1072,12 @@ def cmd_pagemap(args) -> int:
     rows = []
     for region in sorted(proc.regions.values(), key=lambda r: r.hvpn):
         hvpn = region.hvpn
-        huge = pt.huge.get(hvpn)
-        if huge is not None:
-            frame, mapping = huge.frame, "huge"
-        else:
-            frame, mapping = -1, "base"
-            for vpn in range(hvpn * PAGES_PER_HUGE,
-                             (hvpn + 1) * PAGES_PER_HUGE):
-                pte = pt.base.get(vpn)
-                if pte is not None:
-                    frame = pte.frame
-                    break
+        frame, mapping = pt.huge_frame_of(hvpn), "huge"
+        if frame < 0:
+            mframes, _ = pt.region_view(hvpn)
+            mapped = mframes[mframes >= 0]
+            frame = mapped.item(0) if mapped.size else -1
+            mapping = "base"
         if frame < 0:
             continue
         d, last = prov(frame)

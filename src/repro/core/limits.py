@@ -107,7 +107,7 @@ class HugePageLimits:
             if name.startswith(prefix):
                 counter = self._counters[prefix]
                 if counter not in pt.counters:
-                    counter.held += len(pt.huge)
+                    counter.held += pt.huge_count
                     pt.counters += (counter,)
                 groups.append((prefix, counter, group_cap))
         cap = self._exact.get(name)
@@ -156,7 +156,7 @@ class HugePageLimits:
         if entry is None:
             entry = self.meet(proc)
         cap, groups, _ = entry
-        if cap is not None and len(proc.page_table.huge) >= cap:
+        if cap is not None and proc.page_table.huge_count >= cap:
             self.refusals += 1
             return False
         for _, counter, group_cap in groups:
@@ -173,7 +173,7 @@ class HugePageLimits:
         ``group_cap`` with the first full group's ``{group, held, cap}``.
         """
         cap, groups, _ = self._entry(proc)
-        held = len(proc.page_table.huge)
+        held = proc.page_table.huge_count
         if cap is not None and held >= cap:
             return "limit_cap", {"limit": cap, "held": held}
         for prefix, counter, group_cap in groups:

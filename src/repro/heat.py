@@ -361,11 +361,12 @@ class ProcessHeat:
             heat = util = huge = np.zeros(nb)
         bloat = np.zeros(nb, dtype=np.int64)
         fnz = kernel.frames.first_nonzero
-        for hv, pte in proc.page_table.huge.items():
+        pt = proc.page_table
+        for hv in pt.huge_hvpns().tolist():
             if lo <= hv < hi:
                 b = min((hv - lo) * nb // span, nb - 1)
-                bloat[b] += int(
-                    (fnz[pte.frame:pte.frame + PAGES_PER_HUGE] < 0).sum())
+                frame = pt.huge_frame_of(hv)
+                bloat[b] += int((fnz[frame:frame + PAGES_PER_HUGE] < 0).sum())
         numa = kernel.numa
         node_row: Optional[list[int]] = None
         if numa is not None and len(h):
@@ -383,13 +384,10 @@ class ProcessHeat:
             ledger = audit_log.ledger
             age_sum = np.zeros(nb)
             age_cnt = np.zeros(nb, dtype=np.int64)
-            pt = proc.page_table
-            for idx, hv in enumerate(h.tolist()):
-                pte = pt.huge.get(hv)
-                if pte is not None:
-                    frame = pte.frame
-                else:
-                    mframes, _ = pt.region_mirror(hv)
+            for hv in h.tolist():
+                frame = pt.huge_frame_of(hv)
+                if frame < 0:
+                    mframes, _ = pt.region_view(hv)
                     mapped = mframes[mframes >= 0]
                     if not len(mapped):
                         continue

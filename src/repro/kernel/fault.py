@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from repro import audit, trace
 from repro.policies.base import HugePagePolicy
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import ACCESSED, SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
 from repro.vm.vma import VMA, HugePageHint, VMAKind
 
@@ -31,18 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def handle_fault(kernel: "Kernel", proc: Process, vpn: int, vma: VMA | None = None) -> float:
     """Fault on ``vpn``; returns the fault latency in µs (0 if already mapped)."""
-    pt = proc.page_table
-    pte = pt.base.get(vpn)
-    if pte is not None:
-        if pte.shared_zero:
+    hit = proc.page_table.touch(vpn)
+    if hit >= 0:
+        if hit & SHARED_ZERO:
             return _cow_break(kernel, proc, vpn)
-        if pte.shared_cow:
+        if hit & SHARED_COW:
             return _cow_break_shared(kernel, proc, vpn)
-        pte.accessed = True
-        return 0.0
-    huge_pte = pt.huge.get(vpn >> 9)
-    if huge_pte is not None:
-        huge_pte.accessed = True
         return 0.0
 
     if vma is None:
@@ -96,8 +91,7 @@ def _try_huge_fault(kernel: "Kernel", proc: Process, vma: VMA, hvpn: int, anon: 
     needs_zero = anon and (not zeroed or not kernel.policy.trusts_zero_lists)
     if needs_zero:
         kernel.frames.zero_fill(frame, PAGES_PER_HUGE)
-    pt_entry = proc.page_table.map_huge(hvpn, frame)
-    pt_entry.accessed = True
+    proc.page_table.map_huge(hvpn, frame, ACCESSED)
     kernel.rmap_add_huge(frame, proc, hvpn)
     region = proc.region(hvpn)
     region.is_huge = True
@@ -142,8 +136,7 @@ def _base_fault(
     needs_zero = not swapped_in and anon and (not zeroed or not policy.trusts_zero_lists)
     if needs_zero:
         kernel.frames.zero_fill(frame, 1)
-    pte = proc.page_table.map_base(vpn, frame)
-    pte.accessed = True
+    proc.page_table.map_base(vpn, frame, ACCESSED)
     kernel.rmap_add(frame, proc, vpn)
     region.resident += 1
     latency = kernel.costs.base_fault(needs_zero) + backing_us
@@ -205,8 +198,6 @@ def handle_fault_range(
         or type(policy).post_fault is not HugePagePolicy.post_fault
         or kernel.frame_alloc_hook is not None
     )
-    base = pt.base
-    huge = pt.huge
     swapped = kernel.swap.swapped if kernel.swap is not None else None
     pid = proc.pid
     # Budget increment for a page whose fault cost is zero (already mapped).
@@ -226,22 +217,21 @@ def handle_fault_range(
             continue
         hvpn = vpn >> 9
         seg_end = min((hvpn + 1) << 9, vma.end, vpn0 + npages)
-        huge_pte = huge.get(hvpn)
-        if huge_pte is not None:
+        hframe = pt.huge_frame_of(hvpn)
+        if hframe >= 0:
             # Whole tail of the region is huge-mapped: touch + write only.
             n = seg_end - vpn
             if flat_inc > 0.0 and not math.isinf(budget_us):
                 n = min(n, int(math.ceil((budget_us - consumed) / flat_inc)))
-            huge_pte.accessed = True
+            pt.touch(vpn)
             if content is not None:
-                frame0 = huge_pte.frame + (vpn & (PAGES_PER_HUGE - 1))
+                frame0 = hframe + (vpn & (PAGES_PER_HUGE - 1))
                 _write_content_run(kernel, frame0, n, content)
             consumed += n * flat_inc
             pos += n
             continue
-        pte = base.get(vpn)
-        if pte is not None:
-            if pte.shared_zero or pte.shared_cow:
+        if pt.frame_of(vpn) >= 0:
+            if pt.flags_of(vpn) & SHARED:
                 cost = handle_fault(kernel, proc, vpn, vma)
                 if content is not None:
                     _write_content_page(kernel, proc, vpn, content)
@@ -252,19 +242,12 @@ def handle_fault_range(
             limit = seg_end
             if flat_inc > 0.0 and not math.isinf(budget_us):
                 limit = min(limit, vpn + int(math.ceil((budget_us - consumed) / flat_inc)))
-            run_frames = []
-            v = vpn
-            while v < limit:
-                p = base.get(v)
-                if p is None or p.shared_zero or p.shared_cow:
-                    break
-                p.accessed = True
-                run_frames.append(p.frame)
-                v += 1
+            run_frames = pt.touch_private_run(vpn, limit)
             if content is not None:
-                _write_content_frames(kernel, run_frames, content)
-            consumed += (v - vpn) * flat_inc
-            pos += v - vpn
+                _write_content_frames(kernel, run_frames.tolist(), content)
+            n = run_frames.shape[0]
+            consumed += n * flat_inc
+            pos += n
             continue
         if swapped and (pid, vpn) in swapped:
             cost = handle_fault(kernel, proc, vpn, vma)
@@ -291,9 +274,9 @@ def handle_fault_range(
             pos += 1
             continue
         # Contiguous unmapped, unswapped run: the bulk base-fault path.
-        v = vpn + 1
-        while v < seg_end and v not in base and not (swapped and (pid, v) in swapped):
-            v += 1
+        v = pt.next_base_mapped(vpn + 1, seg_end)
+        if swapped:
+            v = next((u for u in range(vpn + 1, v) if (pid, u) in swapped), v)
         run_us, run_pages = _bulk_base_fault(
             kernel, proc, vma, region, vpn, v - vpn, budget_us - consumed, content,
             work_us, pace_us,
@@ -350,7 +333,7 @@ def _bulk_base_fault(
         if needs_zero:
             kernel.frames.zero_fill(start, take)
         ext = [(start, take, zeroed)]
-        pt.map_base_range(vpn0 + done, ext, accessed=True)
+        pt.map_base_range(vpn0 + done, ext, ACCESSED)
         kernel.rmap_add_range(proc, vpn0 + done, ext)
         if content is not None:
             _write_content_run(kernel, start, take, content)
@@ -407,8 +390,7 @@ def _write_content_page(kernel: "Kernel", proc: Process, vpn: int, content) -> N
 
 def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
     """Write to a ksm-merged mapping: copy the content back out."""
-    pte = proc.page_table.base[vpn]
-    canonical = pte.frame
+    canonical = proc.page_table.frame_of(vpn)
     node, strict = _numa_target(kernel, proc, proc.vmas.try_find(vpn), vpn >> 9)
     frame, _ = kernel.alloc_base_frame(prefer_zero=False, owner=proc.pid,
                                        node=node, strict=strict)
@@ -416,10 +398,7 @@ def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
     kernel.frames.content_tag[frame] = kernel.frames.content_tag[canonical]
     kernel.cow_registry.unshare(canonical)
     kernel.cow_registry.cow_breaks += 1
-    pte.frame = frame
-    pte.shared_cow = False
-    pte.dirty = True
-    proc.page_table.sync_pte(vpn, pte)
+    proc.page_table.break_share(vpn, frame)
     kernel.rmap_add(frame, proc, vpn)
     latency = kernel.costs.cow_fault_us
     proc.stats.faults += 1
@@ -435,17 +414,12 @@ def _cow_break_shared(kernel: "Kernel", proc: Process, vpn: int) -> float:
 
 def _cow_break(kernel: "Kernel", proc: Process, vpn: int) -> float:
     """Write to a shared-zero mapping: allocate a private copy."""
-    pte = proc.page_table.base[vpn]
     node, strict = _numa_target(kernel, proc, proc.vmas.try_find(vpn), vpn >> 9)
     frame, zeroed = kernel.alloc_base_frame(prefer_zero=True, owner=proc.pid,
                                             node=node, strict=strict)
     if not zeroed:
         kernel.frames.zero_fill(frame, 1)
-    pte.frame = frame
-    pte.shared_zero = False
-    pte.dirty = True
-    proc.page_table.shared_zero_count -= 1
-    proc.page_table.sync_pte(vpn, pte)
+    proc.page_table.break_share(vpn, frame)
     kernel.rmap_add(frame, proc, vpn)
     kernel.zero_registry.cow_break()
     latency = kernel.costs.cow_fault_us

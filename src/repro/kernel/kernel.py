@@ -51,6 +51,7 @@ from repro.tlb.mmu_model import MMUModel
 from repro.tlb.perf import PMUCounters
 from repro.tlb.tlb import TLBConfig
 from repro.units import BASE_PAGE_SIZE, PAGES_PER_HUGE, SEC, pages_of
+from repro.vm.page_table import ACCESSED, SHARED, SHARED_COW, SHARED_ZERO, frame_runs
 from repro.vm.process import Process
 from repro.vm.vma import VMA, VMAKind
 
@@ -254,45 +255,30 @@ class Kernel:
         """
         pt = proc.page_table
         freed = 0
-        for huge_pte in list(pt.huge.values()):
-            self._rmap_huge.pop(huge_pte.frame, None)
-            self.buddy.free(huge_pte.frame, 9)
+        for frame in pt.huge_in_map_order().tolist():
+            self._rmap_huge.pop(frame, None)
+            self.buddy.free(frame, 9)
             freed += PAGES_PER_HUGE
-        # Base teardown, batched: frames still return to the buddy
-        # allocator in PTE-dict iteration order, with maximal runs of
-        # consecutive frames released via ``free_range`` (scalar-
-        # equivalent, see ``_unmap_base_batched``).  Shared pages flush
-        # the pending run first because ``cow_registry.unshare`` can free
-        # the canonical frame, which must keep its place in the sequence.
-        run_start = 0
-        run_len = 0
+        # Base teardown frees frames in map order (the page table's
+        # stamps), one buddy call per segment: a maximal run of private
+        # pages on consecutive frames goes through ``free_range``
+        # (scalar-equivalent, see ``_unmap_base_batched``); a shared page
+        # drops its share at its own place in the sequence, because
+        # ``cow_registry.unshare`` can free the canonical frame.
+        frames, flags = pt.base_in_map_order()
+        starts, lengths = frame_runs(frames, flags)
         rmap = self._rmap
-        for pte in pt.base.values():
-            if pte.shared_zero:
-                if run_len:
-                    self.buddy.free_range(run_start, run_len)
-                    freed += run_len
-                    run_len = 0
+        for frame, kind, n in zip(frames[starts].tolist(),
+                                  flags[starts].tolist(), lengths):
+            if kind & SHARED_ZERO:
                 self.zero_registry.unshare()
-            elif pte.shared_cow:
-                if run_len:
-                    self.buddy.free_range(run_start, run_len)
-                    freed += run_len
-                    run_len = 0
-                self.cow_registry.unshare(pte.frame)
+            elif kind & SHARED_COW:
+                self.cow_registry.unshare(frame)
             else:
-                rmap.pop(pte.frame, None)
-                if run_len and pte.frame == run_start + run_len:
-                    run_len += 1
-                else:
-                    if run_len:
-                        self.buddy.free_range(run_start, run_len)
-                        freed += run_len
-                    run_start = pte.frame
-                    run_len = 1
-        if run_len:
-            self.buddy.free_range(run_start, run_len)
-            freed += run_len
+                for f in range(frame, frame + n):
+                    rmap.pop(f, None)
+                self.buddy.free_range(frame, n)
+                freed += n
         pt.clear()
         if self.swap is not None:
             self.swap.swapped = {
@@ -384,14 +370,14 @@ class Kernel:
         pt = proc.page_table
         cost = 0.0
         for hvpn in range(vpn >> 9, (vpn + npages - 1 >> 9) + 1):
-            if hvpn in pt.huge and self._range_overlaps_region(vpn, npages, hvpn):
+            if (pt.huge_frame_of(hvpn) >= 0
+                    and self._range_overlaps_region(vpn, npages, hvpn)):
                 cost += self.demote_region(proc, hvpn)
         if self.batched_faults:
             cost += self._unmap_base_batched(proc, vpn, npages)
         else:
             for page in range(vpn, vpn + npages):
-                pte = pt.base.get(page)
-                if pte is None:
+                if pt.frame_of(page) < 0:
                     continue
                 self._unmap_base_page(proc, page)
                 region = proc.region(page >> 9)
@@ -423,50 +409,43 @@ class Kernel:
         per-page path.
         """
         pt = proc.page_table
-        base = pt.base
         rmap = self._rmap
         cost = 0.0
-        page = vpn
-        end = vpn + npages
-        while page < end:
-            pte = base.get(page)
-            if pte is None:
-                page += 1
-                continue
-            if pte.shared_zero or pte.shared_cow:
+        frames, flags = pt.slots(vpn, vpn + npages)
+        mapped = np.flatnonzero(frames >= 0)
+        if mapped.size == 0:
+            return cost
+        vpns = mapped + vpn
+        frames, flags = frames[mapped], flags[mapped]
+        # Runs need consecutive vpns within one huge region (one
+        # resident account) as well as consecutive private frames.
+        cuts = np.zeros(mapped.size, dtype=bool)
+        cuts[1:] = (vpns[1:] != vpns[:-1] + 1) | ((vpns[1:] & (PAGES_PER_HUGE - 1)) == 0)
+        starts, lengths = frame_runs(frames, flags, cuts)
+        for page, frame0, kind, n in zip(vpns[starts].tolist(), frames[starts].tolist(),
+                                         flags[starts].tolist(), lengths):
+            if kind & SHARED:
                 self._unmap_base_page(proc, page)
                 proc.region(page >> 9).resident -= 1
                 cost += 0.2
-                page += 1
                 continue
-            # Maximal run of private PTEs onto ascending consecutive
-            # frames, within one huge region (one resident account).
-            frame0 = pte.frame
-            region_end = min(end, ((page >> 9) + 1) << 9)
-            n = 1
-            while page + n < region_end:
-                nxt = base.get(page + n)
-                if nxt is None or nxt.frame != frame0 + n or not nxt.private:
-                    break
-                n += 1
             pt.unmap_base_run_private(page, n)
-            for i in range(n):
-                rmap.pop(frame0 + i, None)
+            for f in range(frame0, frame0 + n):
+                rmap.pop(f, None)
             self.buddy.free_range(frame0, n)
             proc.region(page >> 9).resident -= n
             cost += 0.2 * n
-            page += n
         return cost
 
     def _unmap_base_page(self, proc: Process, vpn: int) -> None:
-        pte = proc.page_table.unmap_base(vpn)
-        if pte.shared_zero:
+        frame, flags = proc.page_table.unmap_base(vpn)
+        if flags & SHARED_ZERO:
             self.zero_registry.unshare()
-        elif pte.shared_cow:
-            self.cow_registry.unshare(pte.frame)
+        elif flags & SHARED_COW:
+            self.cow_registry.unshare(frame)
         else:
-            self._rmap.pop(pte.frame, None)
-            self.buddy.free(pte.frame, 0)
+            self._rmap.pop(frame, None)
+            self.buddy.free(frame, 0)
 
     # ------------------------------------------------------------------ #
     # allocation with memory-pressure fallback                            #
@@ -590,14 +569,13 @@ class Kernel:
     def _movable_frame(self, old: int) -> bool:
         """Compaction check: would :meth:`_migrate_frame` move ``old``?
 
-        Reads the same reverse map, PTE and file-cache state without
-        changing any of it."""
+        Reads the same reverse map, page-table and file-cache state
+        without changing any of it."""
         entry = self._rmap.get(old)
         if entry is None:
             return self.fragmenter.holds(old)
         proc, vpn = entry
-        pte = proc.page_table.base.get(vpn)
-        return pte is not None and pte.frame == old
+        return proc.page_table.frame_of(vpn) == old
 
     def _migrate_frame(self, old: int, new: int) -> bool:
         """Compaction callback: rebind one base mapping old -> new.
@@ -613,9 +591,7 @@ class Kernel:
             # Not process-mapped: a clean page-cache page.
             return self.fragmenter.migrate_page(old, new)
         proc, vpn = entry
-        pte = proc.page_table.base[vpn]
-        pte.frame = new
-        proc.page_table.sync_pte(vpn, pte)
+        proc.page_table.rebind(vpn, new)
         self._rmap[new] = (proc, vpn)
         return True
 
@@ -655,9 +631,9 @@ class Kernel:
         in_place = pt.contiguous_private_block(vpn0)
 
         if in_place is not None:
-            for vpn in base_vpns:
-                pte = pt.unmap_base(vpn)
-                self._rmap.pop(pte.frame, None)
+            pt.unmap_base_run_private(vpn0, PAGES_PER_HUGE)
+            for frame in range(in_place, in_place + PAGES_PER_HUGE):
+                self._rmap.pop(frame, None)
             block = in_place
             cost = self.costs.remap_us
             collapsed = False
@@ -680,24 +656,23 @@ class Kernel:
             block = got[0]
             self.frames.zero_fill(block, PAGES_PER_HUGE)
             for vpn in base_vpns:
-                pte = pt.unmap_base(vpn)
+                frame, flags = pt.unmap_base(vpn)
                 offset = vpn - vpn0
-                if pte.shared_zero:
+                if flags & SHARED_ZERO:
                     self.zero_registry.unshare()
                     continue  # destination already zero
-                self.frames.first_nonzero[block + offset] = self.frames.first_nonzero[pte.frame]
-                self.frames.content_tag[block + offset] = self.frames.content_tag[pte.frame]
-                if pte.shared_cow:
+                self.frames.first_nonzero[block + offset] = self.frames.first_nonzero[frame]
+                self.frames.content_tag[block + offset] = self.frames.content_tag[frame]
+                if flags & SHARED_COW:
                     # copy out of the ksm-shared canonical frame
-                    self.cow_registry.unshare(pte.frame)
+                    self.cow_registry.unshare(frame)
                     continue
-                self._rmap.pop(pte.frame, None)
-                self.buddy.free(pte.frame, 0)
+                self._rmap.pop(frame, None)
+                self.buddy.free(frame, 0)
             cost = self.costs.promotion_collapse_us(len(base_vpns))
             collapsed = True
 
-        huge_pte = pt.map_huge(hvpn, block)
-        huge_pte.accessed = True
+        pt.map_huge(hvpn, block, ACCESSED)
         self.rmap_add_huge(block, proc, hvpn)
         region.is_huge = True
         region.resident = PAGES_PER_HUGE
@@ -726,19 +701,16 @@ class Kernel:
 
     def demote_region(self, proc: Process, hvpn: int) -> float:
         """Break a huge mapping into base mappings over the same frames."""
-        pt = proc.page_table
-        huge_pte = pt.huge[hvpn]
-        self._rmap_huge.pop(huge_pte.frame, None)
-        for vpn, pte in pt.demote_huge(hvpn):
-            self._rmap[pte.frame] = (proc, vpn)
+        frame0 = proc.page_table.demote_huge(hvpn)
+        self._rmap_huge.pop(frame0, None)
+        self.rmap_add_range(proc, hvpn << 9, [(frame0, PAGES_PER_HUGE, False)])
         region = proc.region(hvpn)
         region.is_huge = False
         region.resident = PAGES_PER_HUGE
         proc.stats.demotions += 1
         self.stats.demotions += 1
         if (al := self.audit) is not None and al.enabled:
-            al.ledger.record(huge_pte.frame, PAGES_PER_HUGE,
-                             audit_mod.EV_DEMOTED)
+            al.ledger.record(frame0, PAGES_PER_HUGE, audit_mod.EV_DEMOTED)
         if (tp := self.trace) is not None and tp.enabled:
             tp.emit(trace.TraceKind.DEMOTE, proc.name, self.costs.remap_us, hvpn)
         return self.costs.remap_us
@@ -754,7 +726,7 @@ class Kernel:
         pt = proc.page_table
         recovered = 0
         vpn0 = hvpn << 9
-        mframes, mpriv = pt.region_mirror(hvpn)
+        mframes, mpriv = pt.region_view(hvpn)
         priv_off = np.nonzero(mpriv)[0]
         pframes = mframes[priv_off]
         fnz = self.frames.first_nonzero[pframes]
@@ -763,22 +735,16 @@ class Kernel:
         # per-page ``scan_cost_bytes`` sum).
         scanned = int(np.where(fnz < 0, BASE_PAGE_SIZE, fnz + 1).sum())
         zero_frame = self.zero_registry.zero_frame
-        base = pt.base
         is_zero = fnz < 0
         led = None
         if (al := self.audit) is not None and al.enabled:
             led = al.ledger
         for off, frame in zip(priv_off[is_zero].tolist(), pframes[is_zero].tolist()):
-            vpn = vpn0 + off
-            pte = base[vpn]
             if led is not None:
                 led.record(frame, 1, audit_mod.EV_KSM_MERGED, zero_frame)
             self._rmap.pop(frame, None)
             self.buddy.free(frame, 0)
-            pte.frame = zero_frame
-            pte.shared_zero = True
-            pt.shared_zero_count += 1
-            pt.sync_pte(vpn, pte)
+            pt.share_zero(vpn0 + off, zero_frame)
             self.zero_registry.share()
             recovered += 1
         self.stats.bloat_pages_recovered += recovered
@@ -787,10 +753,10 @@ class Kernel:
 
     def count_zero_pages(self, proc: Process, hvpn: int) -> tuple[int, int]:
         """Count zero-filled base pages under a *huge* mapping (with scan cost)."""
-        huge_pte = proc.page_table.huge[hvpn]
-        mask = self.frames.zero_mask(huge_pte.frame, PAGES_PER_HUGE)
+        frame = proc.page_table.huge_frame_of(hvpn)
+        mask = self.frames.zero_mask(frame, PAGES_PER_HUGE)
         zeros = int(mask.sum())
-        fnz = self.frames.first_nonzero[huge_pte.frame:huge_pte.frame + PAGES_PER_HUGE]
+        fnz = self.frames.first_nonzero[frame:frame + PAGES_PER_HUGE]
         from repro.units import BASE_PAGE_SIZE
 
         scanned = int((fnz[fnz >= 0] + 1).sum()) + zeros * BASE_PAGE_SIZE

@@ -151,7 +151,7 @@ def smaps(kernel: "Kernel", proc: "Process") -> list[dict[str, object]]:
         huge_regions = sum(
             1
             for hvpn in range(vma.start >> 9, ((vma.end - 1) >> 9) + 1)
-            if hvpn in proc.page_table.huge
+            if proc.page_table.huge_frame_of(hvpn) >= 0
         )
         resident = sum(
             r.resident

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro import audit, trace
+from repro.vm.page_table import SHARED_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
@@ -58,11 +59,11 @@ class SwapDevice:
             if victim is None:
                 break
             proc, vpn = victim
-            pte = proc.page_table.unmap_base(vpn)
-            kernel._rmap.pop(pte.frame, None)
+            frame, _ = proc.page_table.unmap_base(vpn)
+            kernel._rmap.pop(frame, None)
             if (al := kernel.audit) is not None and al.enabled:
-                al.ledger.record(pte.frame, 1, audit.EV_SWAPPED_OUT)
-            kernel.buddy.free(pte.frame, 0)
+                al.ledger.record(frame, 1, audit.EV_SWAPPED_OUT)
+            kernel.buddy.free(frame, 0)
             proc.region(vpn >> 9).resident -= 1
             self.swapped.add((proc.pid, vpn))
             self.swap_outs += 1
@@ -77,8 +78,8 @@ class SwapDevice:
         """FIFO over mapped base frames; demote a huge mapping if needed."""
         kernel = self.kernel
         for frame, (proc, vpn) in kernel._rmap.items():
-            pte = proc.page_table.base.get(vpn)
-            if pte is not None and not pte.shared_zero and pte.frame == frame:
+            pt = proc.page_table
+            if pt.frame_of(vpn) == frame and not pt.flags_of(vpn) & SHARED_ZERO:
                 return proc, vpn
         if kernel._rmap_huge:
             frame = next(iter(kernel._rmap_huge))

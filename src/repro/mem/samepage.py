@@ -35,10 +35,10 @@ from repro import audit, trace
 from repro.kernel.kthread import RateLimiter
 from repro.mem.frames import ZERO_TAG
 from repro.units import BASE_PAGE_SIZE
+from repro.vm.page_table import SHARED
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-    from repro.vm.page_table import BasePTE
 
 
 class CowShareRegistry:
@@ -127,7 +127,7 @@ class SamePageMerger:
 
     def _scan_process(self, proc) -> int:
         pt = proc.page_table
-        vpns = sorted(pt.base)
+        vpns = pt.base_vpns().tolist()
         if not vpns:
             return 0
         start_after = self._cursor.get(proc.pid, -1)
@@ -137,16 +137,15 @@ class SamePageMerger:
             if not self._limiter.take():
                 return merged
             self._cursor[proc.pid] = vpn
-            pte = pt.base.get(vpn)
-            if pte is None or not pte.private:
+            frame = pt.frame_of(vpn)
+            if frame < 0 or pt.flags_of(vpn) & SHARED:
                 continue
-            merged += self._consider(proc, vpn, pte)
+            merged += self._consider(proc, vpn, frame)
         return merged
 
-    def _consider(self, proc, vpn: int, pte: "BasePTE") -> int:
+    def _consider(self, proc, vpn: int, frame: int) -> int:
         kernel = self.kernel
         frames = kernel.frames
-        frame = pte.frame
         # a comparison reads the page (hash/compare): full-page cost
         self.bytes_compared += BASE_PAGE_SIZE
         kernel.stats.khugepaged_cpu_us += kernel.costs.ksm_compare_us
@@ -158,10 +157,7 @@ class SamePageMerger:
                 al.ledger.record(frame, 1, audit.EV_KSM_MERGED,
                                  kernel.zero_registry.zero_frame)
             kernel.buddy.free(frame, 0)
-            pte.frame = kernel.zero_registry.zero_frame
-            pte.shared_zero = True
-            proc.page_table.shared_zero_count += 1
-            proc.page_table.sync_pte(vpn, pte)
+            proc.page_table.share_zero(vpn, kernel.zero_registry.zero_frame)
             kernel.zero_registry.share()
             return 1
 
@@ -183,21 +179,19 @@ class SamePageMerger:
                 self.registry._by_tag.pop(tag, None)
                 return 0
             owner_proc, owner_vpn = owner
-            owner_pte = owner_proc.page_table.base.get(owner_vpn)
-            if owner_pte is None or owner_pte.frame != canonical or not owner_pte.private:
+            owner_pt = owner_proc.page_table
+            if (owner_pt.frame_of(owner_vpn) != canonical
+                    or owner_pt.flags_of(owner_vpn) & SHARED):
                 self.registry._by_tag.pop(tag, None)
                 return 0
             self.registry.make_canonical(canonical, tag)
-            owner_pte.shared_cow = True
-            owner_proc.page_table.sync_pte(owner_vpn, owner_pte)
+            owner_pt.share_cow(owner_vpn, canonical)
         # merge this page into the canonical
         kernel._rmap.pop(frame, None)
         if (al := kernel.audit) is not None and al.enabled:
             al.ledger.record(frame, 1, audit.EV_KSM_MERGED, canonical)
         kernel.buddy.free(frame, 0)
-        pte.frame = canonical
-        pte.shared_cow = True
-        proc.page_table.sync_pte(vpn, pte)
+        proc.page_table.share_cow(vpn, canonical)
         self.registry.share(canonical)
         self.registry.merges += 1
         return 1

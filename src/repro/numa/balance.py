@@ -102,10 +102,10 @@ class NumaState:
         per-node counts are available via :meth:`region_node_counts`.
         """
         pt = proc.page_table
-        huge_pte = pt.huge.get(hvpn)
-        if huge_pte is not None:
-            return self.node_of(huge_pte.frame)
-        mframes, mpriv = pt.region_mirror(hvpn)
+        hframe = pt.huge_frame_of(hvpn)
+        if hframe >= 0:
+            return self.node_of(hframe)
+        mframes, mpriv = pt.region_view(hvpn)
         priv = np.nonzero(mpriv)[0]
         if priv.size == 0:
             return None
@@ -114,39 +114,21 @@ class NumaState:
     def region_nodes_arr(self, proc: "Process", hvpns: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`region_node`: backing node per hvpn (-1 = none).
 
-        Huge regions resolve through the hvpn->frame mirror in one gather;
-        base regions take a fast path through column 0 (the region's first
-        page, private in the common dense layout) and fall back to a
-        per-region first-private scan only where that page is shared or
-        unmapped.
+        Huge regions and regions whose first page is private (the common
+        dense layout) resolve in one gather of region heads; the rest fall
+        back to a per-region first-private scan.
         """
         pt = proc.page_table
         n = hvpns.shape[0]
         out = np.full(n, -1, dtype=np.int64)
         if n == 0:
             return out
-        mhuge = pt._mhuge
-        hcap = mhuge.shape[0]
-        in_cap = hvpns < hcap
-        hframes = np.where(in_cap, mhuge[np.minimum(hvpns, hcap - 1)], -1)
-        is_huge = hframes >= 0
-        if is_huge.any():
-            out[is_huge] = self.allocator.node_of_arr(hframes[is_huge])
-        rest = np.nonzero(~is_huge)[0]
-        if rest.size == 0:
-            return out
-        vpn0s = hvpns[rest] << 9
-        mframe, mpriv = pt._mframe, pt._mpriv
-        bcap = mframe.shape[0]
-        ok = vpn0s < bcap
-        safe = np.minimum(vpn0s, bcap - 1)
-        frame0 = np.where(ok, mframe[safe], -1)
-        priv0 = np.where(ok, mpriv[safe], False)
-        easy = rest[priv0]
-        if easy.size:
-            out[easy] = self.allocator.node_of_arr(frame0[priv0])
-        for i in rest[~priv0].tolist():
-            mframes, mp = pt.region_mirror(int(hvpns[i]))
+        heads = pt.region_heads(hvpns)
+        found = heads >= 0
+        if found.any():
+            out[found] = self.allocator.node_of_arr(heads[found])
+        for i in np.flatnonzero(~found).tolist():
+            mframes, mp = pt.region_view(int(hvpns[i]))
             priv = np.nonzero(mp)[0]
             if priv.size:
                 out[i] = self.node_of(int(mframes[priv[0]]))
@@ -156,11 +138,11 @@ class NumaState:
         """Resident pages of a region per node (exact, one bincount)."""
         counts = [0] * self.nodes
         pt = proc.page_table
-        huge_pte = pt.huge.get(hvpn)
-        if huge_pte is not None:
-            counts[self.node_of(huge_pte.frame)] = PAGES_PER_HUGE
+        hframe = pt.huge_frame_of(hvpn)
+        if hframe >= 0:
+            counts[self.node_of(hframe)] = PAGES_PER_HUGE
             return counts
-        mframes, mpriv = pt.region_mirror(hvpn)
+        mframes, mpriv = pt.region_view(hvpn)
         frames = mframes[mpriv]
         if frames.size == 0:
             return counts
@@ -227,9 +209,9 @@ class NumaState:
         512 GiB, one PGD.
         """
         pt = proc.page_table
-        pte_tables = {vpn >> 9 for vpn in pt.base}
-        pmd_tables = {h >> 9 for h in pte_tables} | {h >> 9 for h in pt.huge}
-        pud_tables = {h >> 9 for h in pmd_tables}
+        pte_tables = np.unique(pt.base_vpns() >> 9)
+        pmd_tables = np.union1d(pte_tables >> 9, pt.huge_hvpns() >> 9)
+        pud_tables = np.unique(pmd_tables >> 9)
         return len(pte_tables) + len(pmd_tables) + len(pud_tables) + 1
 
     def replica_pt_pages_per_node(self) -> int:
@@ -401,8 +383,9 @@ class NumaState:
                          inputs={"target_node": target})
             return 0, 0.0, False
         cost = 0.0
-        if hvpn in pt.huge:
-            if self.node_of(pt.huge[hvpn].frame) == target:
+        hframe = pt.huge_frame_of(hvpn)
+        if hframe >= 0:
+            if self.node_of(hframe) == target:
                 self._decide(proc, hvpn, "reject", "already_local", stage=1,
                              inputs={"target_node": target})
                 return 0, 0.0, False
@@ -436,7 +419,7 @@ class NumaState:
         kernel = self.kernel
         frames = kernel.frames
         pt = proc.page_table
-        old = pt.huge[hvpn].frame
+        old = pt.huge_frame_of(hvpn)
         got = self.allocator.try_alloc(
             9, prefer_zero=False, owner=proc.pid, node=target, strict=True)
         if got is None:
@@ -452,8 +435,7 @@ class NumaState:
                                 slice(new, new + PAGES_PER_HUGE))
             led.record(new, PAGES_PER_HUGE, audit.EV_MIGRATED, target)
             led.set_site(slice(new, new + PAGES_PER_HUGE), audit.SITE_NUMA)
-        pt.huge[hvpn].frame = new
-        pt.sync_huge(hvpn, pt.huge[hvpn])
+        pt.rebind_huge(hvpn, new)
         kernel._rmap_huge.pop(old, None)
         kernel.rmap_add_huge(new, proc, hvpn)
         kernel.buddy.free(old, 9)
@@ -470,10 +452,11 @@ class NumaState:
         kernel = self.kernel
         frames = kernel.frames
         moved = 0
-        # Bulk discovery off the mirror: only pages resident on the wrong
-        # node enter the migration loop (migrating one page never changes
-        # another page's frame or privacy, so the snapshot stays valid).
-        mframes, mpriv = proc.page_table.region_mirror(hvpn)
+        # Bulk discovery off the page table: only pages resident on the
+        # wrong node enter the migration loop (migrating one page never
+        # changes another page's frame or privacy, so the snapshot stays
+        # valid).
+        mframes, mpriv = proc.page_table.region_view(hvpn)
         offs = np.nonzero(mpriv)[0]
         olds = mframes[offs]
         wrong = self.allocator.node_of_arr(olds) != target

@@ -59,7 +59,6 @@ class IngensPolicy(HugePagePolicy):
         self.name = f"ingens-{int(util_threshold * 100)}"
         #: idle huge pages demoted for same-page merging under pressure.
         self.demotions_for_ksm = 0
-        self._merger = None
 
     def fault_size(self, proc: Process, vma: VMA, vpn: int) -> str:
         """Always base pages; promotion is asynchronous in Ingens."""
@@ -106,8 +105,6 @@ class IngensPolicy(HugePagePolicy):
 
     def on_epoch(self) -> None:
         """Promote up to budget, fairness-ordered, threshold per FMFI phase."""
-        if self._merger is not None:
-            self._merger.run_epoch()
         self._limiter.refill()
         threshold = self.current_threshold()
         per_proc = {p.pid: self._candidates(p, threshold) for p in self.kernel.processes}
@@ -153,27 +150,16 @@ class IngensPolicy(HugePagePolicy):
     # ksm coordination (§3.2's characterisation of Ingens)                #
     # ------------------------------------------------------------------ #
 
-    def enable_ksm(self, pages_per_sec: float) -> None:
-        """Attach a background same-page merger (off by default).
-
-        Merging proceeds at ksm speed; memory pressure only *exposes*
-        idle huge pages to it by demoting them (below).  This is why the
-        paper's Figure 1 Ingens still runs out of memory: the merger is
-        far too slow to reclaim bloat at allocation speed, unlike
-        HawkEye's targeted zero-scan.
-        """
-        from repro.mem.samepage import SamePageMerger
-
-        self._merger = SamePageMerger(self.kernel, pages_per_sec=pages_per_sec)
-
     def on_memory_pressure(self, pages_needed: int) -> int:
         """Demote *idle* huge pages so same-page merging can reach them.
 
         The paper (§3.2) describes Ingens's coordinated mechanism: only
         infrequently-accessed huge pages are broken for ksm.  Demotion
-        itself frees nothing — reclaim happens at the background merger's
-        rate — so the immediate return is 0 and the kernel falls through
-        to swap or OOM, matching the paper's Figure 1 outcome.
+        itself frees nothing — only a same-page merger scanning at ksm
+        speed (:class:`repro.mem.samepage.SamePageMerger`) can later
+        reclaim the exposed zero pages — so the immediate return is 0 and
+        the kernel falls through to swap or OOM, matching the paper's
+        Figure 1 outcome.
         """
         for proc in self.kernel.processes:
             for region in list(proc.regions.values()):

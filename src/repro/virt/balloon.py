@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.kernel.kthread import RateLimiter
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.virt.hypervisor import VirtualMachine
@@ -38,22 +39,20 @@ class BalloonDriver:
         for start, order, _ in list(self.vm.guest.buddy.iter_free_blocks()):
             for frame in range(start, start + (1 << order)):
                 vpn = self.vm.host_vpn(frame)
-                if (vpn >> 9) in pt.huge:
+                if pt.huge_frame_of(vpn >> 9) >= 0:
                     # Returning any page of a host huge region breaks it.
                     host.demote_region(self.vm.host_proc, vpn >> 9)
-                pte = pt.base.get(vpn)
-                if pte is None:
+                if pt.frame_of(vpn) < 0:
                     continue
                 if not self._limiter.take():
                     self.returned_pages += returned
                     return returned
-                if pte.shared_zero:
-                    pt.unmap_base(vpn)
+                frame, flags = pt.unmap_base(vpn)
+                if flags & SHARED_ZERO:
                     host.zero_registry.unshare()
                 else:
-                    pt.unmap_base(vpn)
-                    host._rmap.pop(pte.frame, None)
-                    host.buddy.free(pte.frame, 0)
+                    host._rmap.pop(frame, None)
+                    host.buddy.free(frame, 0)
                 self.vm.host_proc.region(vpn >> 9).resident -= 1
                 returned += 1
         self.returned_pages += returned

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from repro import audit, trace
 from repro.kernel.kthread import RateLimiter
 from repro.units import PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.virt.hypervisor import Hypervisor
@@ -87,7 +88,7 @@ class KSMThread:
         # Scanning cost: one cheap hash/compare per page in the region.
         host.stats.khugepaged_cpu_us += host.costs.ksm_compare_us * PAGES_PER_HUGE / 64.0
 
-        if host_hvpn in pt.huge:
+        if pt.huge_frame_of(host_hvpn) >= 0:
             if nz < DEMOTE_ZERO_FRACTION * PAGES_PER_HUGE:
                 return 0
             host.demote_region(proc, host_hvpn)
@@ -97,18 +98,16 @@ class KSMThread:
         for offset in range(PAGES_PER_HUGE):
             if not zero_mask[offset]:
                 continue
-            pte = pt.base.get(vpn0 + offset)
-            if pte is None or pte.shared_zero:
+            vpn = vpn0 + offset
+            frame = pt.frame_of(vpn)
+            if frame < 0 or pt.flags_of(vpn) & SHARED_ZERO:
                 continue
-            host._rmap.pop(pte.frame, None)
+            host._rmap.pop(frame, None)
             if (al := host.audit) is not None and al.enabled:
-                al.ledger.record(pte.frame, 1, audit.EV_KSM_MERGED,
+                al.ledger.record(frame, 1, audit.EV_KSM_MERGED,
                                  host.zero_registry.zero_frame)
-            host.buddy.free(pte.frame, 0)
-            pte.frame = host.zero_registry.zero_frame
-            pte.shared_zero = True
-            pt.shared_zero_count += 1
-            pt.sync_pte(vpn0 + offset, pte)
+            host.buddy.free(frame, 0)
+            pt.share_zero(vpn, host.zero_registry.zero_frame)
             host.zero_registry.share()
             merged += 1
         return merged

@@ -220,8 +220,9 @@ def _kernel_state(kernel) -> dict:
                         for name in ("first_nonzero", "content_tag")]
     state["rmap"] = [(frame, proc.pid, vpn)
                      for frame, (proc, vpn) in kernel._rmap.items()]
-    state["ptes"] = [(proc.pid, sorted((vpn, pte.frame) for vpn, pte
-                                       in proc.page_table.base.items()))
+    state["ptes"] = [(proc.pid, sorted(
+        (vpn, proc.page_table.frame_of(vpn))
+        for vpn in proc.page_table.base_vpns().tolist()))
                      for proc in kernel.processes]
     return state
 
@@ -291,7 +292,7 @@ def test_stale_rmap_entry_abandons_chunk_like_per_frame_loop():
     victim = int(np.flatnonzero(
         bulk.frames.allocated[chunk:chunk + PAGES_PER_HUGE])[0]) + chunk
     vpn = vma.start  # mapped, to a frame other than the victim
-    assert proc.page_table.base[vpn].frame != victim
+    assert proc.page_table.frame_of(vpn) not in (victim, -1)
     bulk._rmap[victim] = (proc, vpn)
     ref._rmap[victim] = (ref_proc, vpn)
     assert not bulk._movable_frame(victim)

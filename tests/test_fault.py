@@ -6,6 +6,7 @@ from repro.errors import OutOfMemoryError
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import Linux4KPolicy, LinuxTHPPolicy
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import DIRTY, SHARED_ZERO
 from repro.vm.vma import VMAKind
 from tests.conftest import small_config
 
@@ -78,12 +79,14 @@ def test_hawkeye_skips_zeroing_for_prezeroed_frames(kernel_hawkeye):
 
 def test_cow_break_on_shared_zero(kernel_hawkeye):
     proc, vma = make_proc(kernel_hawkeye)
-    pte = proc.page_table.map_base(vma.start, kernel_hawkeye.zero_registry.zero_frame,
-                                   shared_zero=True)
+    pt = proc.page_table
+    pt.map_base(vma.start, kernel_hawkeye.zero_registry.zero_frame, SHARED_ZERO)
     kernel_hawkeye.zero_registry.share()
     latency = kernel_hawkeye.fault(proc, vma.start)
     assert latency == pytest.approx(kernel_hawkeye.costs.cow_fault_us)
-    assert not pte.shared_zero
+    assert not pt.flags_of(vma.start) & SHARED_ZERO
+    assert pt.flags_of(vma.start) & DIRTY
+    assert pt.shared_zero_count == 0
     assert proc.stats.cow_faults == 1
     assert kernel_hawkeye.zero_registry.cow_faults == 1
 

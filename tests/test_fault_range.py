@@ -11,7 +11,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.frames import FrameTable
 from repro.units import MB
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import ACCESSED, DIRTY, PageTable
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, FreeOp, Phase, Workload
 
@@ -141,20 +141,19 @@ def test_map_base_range_rejects_huge_overlap():
 
 def test_map_base_range_installs_extent_frames():
     pt = PageTable()
-    assert pt.map_base_range(10, [(100, 3, True), (200, 2, False)], accessed=True) == 5
-    assert [pt.base[10 + i].frame for i in range(5)] == [100, 101, 102, 200, 201]
-    assert all(pt.base[10 + i].accessed for i in range(5))
+    assert pt.map_base_range(10, [(100, 3, True), (200, 2, False)], ACCESSED) == 5
+    assert [pt.frame_of(10 + i) for i in range(5)] == [100, 101, 102, 200, 201]
+    assert all(pt.flags_of(10 + i) & ACCESSED for i in range(5))
 
 
 def test_demote_preserves_dirty_and_accessed_bits():
     pt = PageTable()
-    huge_pte = pt.map_huge(2, 512)
-    huge_pte.accessed = True
-    huge_pte.dirty = True
-    created = pt.demote_huge(2)
-    assert len(created) == 512
-    assert all(pte.dirty for _, pte in created)
-    assert all(pte.accessed for _, pte in created)
+    pt.map_huge(2, 512, ACCESSED | DIRTY)
+    assert pt.demote_huge(2) == 512
+    frames, flags = pt.slots(2 << 9, 3 << 9)
+    assert frames.tolist() == list(range(512, 1024))
+    assert ((flags & DIRTY) != 0).all()
+    assert ((flags & ACCESSED) != 0).all()
 
 
 # ---------------------------------------------------------------------- #
@@ -204,7 +203,7 @@ def test_fault_range_budget_stop_matches_scalar():
         consumed += ks.fault(ps, vs.start + scalar_pages)
         scalar_pages += 1
     assert pages == scalar_pages
-    assert len(proc.page_table.base) == len(ps.page_table.base)
+    assert proc.page_table.base_count == ps.page_table.base_count
 
 
 def test_fault_range_pacing_dominates_budget():
@@ -249,11 +248,11 @@ def test_freeop_reuses_seeded_rng():
     op.execute(kernel, run, math.inf)
     rng = op._rng
     assert rng is not None
-    left = len(proc.page_table.base)
+    left = proc.page_table.base_count
     kernel.fault_range(proc, vma.start, 1024)
     op.execute(kernel, run, math.inf)
     assert op._rng is rng, "the op must reuse one RNG instance across runs"
-    assert len(proc.page_table.base) == left, "re-seeded RNG frees the same subset"
+    assert proc.page_table.base_count == left, "re-seeded RNG frees the same subset"
 
 
 def test_batched_madvise_matches_scalar_unmap():
@@ -263,7 +262,8 @@ def test_batched_madvise_matches_scalar_unmap():
         for vpn in range(vma.start, vma.start + 900):
             kernel.fault(proc, vpn)
         kernel.madvise_free(proc, vma.start + 100, 600)
-    assert sorted(pb.page_table.base) == sorted(ps.page_table.base)
+    assert (pb.page_table.base_vpns().tolist()
+            == ps.page_table.base_vpns().tolist())
     for order in range(kb.buddy.max_order + 1):
         assert list(kb.buddy._zero[order]) == list(ks.buddy._zero[order])
         assert list(kb.buddy._nonzero[order]) == list(ks.buddy._nonzero[order])

@@ -28,16 +28,16 @@ class TestPromotion:
         proc, vma = make_proc(kernel4k)
         # fault only half the region with base pages
         touch_region(kernel4k, proc, vma, n=256)
-        frame = proc.page_table.base[vma.start].frame
+        frame = proc.page_table.frame_of(vma.start)
         kernel4k.frames.write(frame, first_nonzero=3, tag=777)
         hvpn = vma.start >> 9
         cost = kernel4k.promote_region(proc, hvpn)
         assert cost is not None and cost > kernel4k.costs.remap_us
         assert kernel4k.stats.collapse_promotions == 1
-        huge_pte = proc.page_table.huge[hvpn]
+        block = proc.page_table.huge_frame_of(hvpn)
         # copied page keeps its content, the rest is zero-filled (bloat!)
-        assert kernel4k.frames.content_tag[huge_pte.frame] == 777
-        assert kernel4k.frames.is_zero(huge_pte.frame + 300)
+        assert kernel4k.frames.content_tag[block] == 777
+        assert kernel4k.frames.is_zero(block + 300)
         # only one page holds data; the 511 others (255 never-written
         # touched pages + 256 zero-filled by collapse) are zero
         zeros, _ = kernel4k.count_zero_pages(proc, hvpn)
@@ -62,7 +62,7 @@ class TestDemotionAndDedup:
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
         hvpn = vma.start >> 9
-        block = proc.page_table.huge[hvpn].frame
+        block = proc.page_table.huge_frame_of(hvpn)
         kernel_thp.demote_region(proc, hvpn)
         assert proc.page_table.translate(vma.start + 5) == (block + 5, False)
         assert kernel_thp.stats.demotions == 1
@@ -72,7 +72,7 @@ class TestDemotionAndDedup:
         kernel_thp.fault(proc, vma.start)  # huge-mapped, all zero content
         hvpn = vma.start >> 9
         # application wrote into 10 pages only
-        block = proc.page_table.huge[hvpn].frame
+        block = proc.page_table.huge_frame_of(hvpn)
         for i in range(10):
             kernel_thp.frames.write(block + i, first_nonzero=0)
         free_before = kernel_thp.buddy.free_pages
@@ -90,7 +90,7 @@ class TestDemotionAndDedup:
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
         hvpn = vma.start >> 9
-        block = proc.page_table.huge[hvpn].frame
+        block = proc.page_table.huge_frame_of(hvpn)
         for i in range(500):  # 500 in-use, 12 bloat pages
             kernel_thp.frames.write(block + i, first_nonzero=9)
         kernel_thp.demote_region(proc, hvpn)
@@ -114,7 +114,7 @@ class TestMadvise:
     def test_madvised_frames_land_on_dirty_lists(self, kernel_thp):
         proc, vma = make_proc(kernel_thp)
         kernel_thp.fault(proc, vma.start)
-        block = proc.page_table.huge[vma.start >> 9].frame
+        block = proc.page_table.huge_frame_of(vma.start >> 9)
         for i in range(100):
             kernel_thp.frames.write(block + i, first_nonzero=0)
         zeroed_before = kernel_thp.buddy.free_zeroed_pages()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import InvalidAddressError
 from repro.units import PAGES_PER_HUGE
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import ACCESSED, SHARED_ZERO, PageTable
 
 
 @pytest.fixture
@@ -16,8 +16,8 @@ def test_base_map_translate_unmap(pt):
     pt.map_base(1000, 77)
     assert pt.translate(1000) == (77, False)
     assert pt.is_mapped(1000)
-    pte = pt.unmap_base(1000)
-    assert pte.frame == 77
+    frame, _ = pt.unmap_base(1000)
+    assert frame == 77
     assert pt.translate(1000) is None
 
 
@@ -55,15 +55,15 @@ def test_unmap_missing_raises(pt):
 
 
 def test_demote_creates_512_contiguous_base_ptes(pt):
-    huge = pt.map_huge(4, 8192)
-    huge.accessed = True
-    created = pt.demote_huge(4)
-    assert len(created) == PAGES_PER_HUGE
-    assert 4 not in pt.huge
+    pt.map_huge(4, 8192, ACCESSED)
+    assert pt.demote_huge(4) == 8192
+    assert pt.base_count == PAGES_PER_HUGE
+    assert pt.huge_frame_of(4) == -1
     vpn0 = 4 << 9
     assert pt.translate(vpn0) == (8192, False)
     assert pt.translate(vpn0 + 511) == (8192 + 511, False)
-    assert all(pte.accessed for _, pte in created), "access bit propagates"
+    assert all(pt.flags_of(vpn0 + i) & ACCESSED
+               for i in range(PAGES_PER_HUGE)), "access bit propagates"
 
 
 def test_region_base_vpns(pt):
@@ -76,7 +76,7 @@ def test_region_base_vpns(pt):
 
 def test_resident_excludes_shared_zero(pt):
     pt.map_base(0, 1)
-    pt.map_base(1, 99, shared_zero=True)
+    pt.map_base(1, 99, SHARED_ZERO)
     pt.map_huge(10, 512)
     assert pt.shared_zero_count == 1
     assert pt.resident_pages() == 1 + PAGES_PER_HUGE
@@ -84,6 +84,6 @@ def test_resident_excludes_shared_zero(pt):
 
 
 def test_unmap_shared_zero_updates_count(pt):
-    pt.map_base(1, 99, shared_zero=True)
+    pt.map_base(1, 99, SHARED_ZERO)
     pt.unmap_base(1)
     assert pt.shared_zero_count == 0

@@ -143,8 +143,10 @@ class TestKsmCoordination:
         assert kernel.policy.demotions_for_ksm == 1
 
     def test_background_merger_reclaims_exposed_bloat(self):
+        from repro.mem.samepage import SamePageMerger
+
         kernel = make()
-        kernel.policy.enable_ksm(pages_per_sec=1e9)
+        merger = SamePageMerger(kernel, pages_per_sec=1e9)
         proc, vma = make_proc(kernel, nbytes=8 * MB)
         fill_region(kernel, proc, vma, pages=1)
         kernel.run_epochs(1)  # aggressive promotion of the sparse region
@@ -152,7 +154,9 @@ class TestKsmCoordination:
         proc.regions[vma.start >> 9].idle = True
         kernel.policy.on_memory_pressure(100)  # demote for ksm
         free_before = kernel.buddy.free_pages
-        kernel.run_epochs(2)  # merger passes reclaim the zero pages
+        for _ in range(2):  # merger passes reclaim the zero pages
+            merger.run_epoch()
+            kernel.run_epochs(1)
         assert kernel.buddy.free_pages > free_before + 400
 
     def test_pressure_with_no_idle_pages_demotes_nothing(self):

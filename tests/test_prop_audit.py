@@ -34,6 +34,7 @@ from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests.pt_check import base_entries, check_page_tables, huge_entries
 
 #: ledger columns that must be identical across the vectorized twins.
 _LEDGER_COLUMNS = (
@@ -90,7 +91,7 @@ class AuditTwinMachine(RuleBasedStateMachine):
     def demote(self, region):
         for kernel, proc, vma in self.twins:
             hvpn = (vma.start >> 9) + region
-            if hvpn in proc.page_table.huge:
+            if proc.page_table.huge_frame_of(hvpn) >= 0:
                 kernel.demote_region(proc, hvpn)
 
     @rule(coverage=st.integers(0, 600))
@@ -116,17 +117,16 @@ class AuditTwinMachine(RuleBasedStateMachine):
 
     @invariant()
     def mapped_frames_have_live_records(self):
-        """Every page-table-reachable frame is live, mirrors agree."""
+        """Every page-table-reachable frame is live; tables consistent."""
         for kernel, proc, _vma in self.twins:
             led = kernel.audit.ledger
             pt = proc.page_table
-            for vpn, pte in pt.base.items():
-                assert led.live[pte.frame], (vpn, pte.frame)
-                assert pt._mframe[vpn] == pte.frame
-            for hvpn, hpte in pt.huge.items():
-                block = led.live[hpte.frame:hpte.frame + PAGES_PER_HUGE]
+            for vpn, (frame, _) in base_entries(pt).items():
+                assert led.live[frame], (vpn, frame)
+            for hvpn, (frame, _) in huge_entries(pt).items():
+                block = led.live[frame:frame + PAGES_PER_HUGE]
                 assert block.all(), hvpn
-                assert pt._mhuge[hvpn] == hpte.frame
+            check_page_tables(kernel)
 
     @invariant()
     def freed_frames_marked_freed(self):

@@ -34,6 +34,7 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.units import MB
 from repro.vm.process import Process
 from repro.workloads.base import ContentSpec, Phase, Workload
+from tests.pt_check import base_entries, huge_entries
 
 REGION_PAGES = 2048  # 8 MiB heap on a 16 MiB machine
 NUM_REGIONS = REGION_PAGES // 512
@@ -116,7 +117,7 @@ def _apply(kernel, proc, ops, batched) -> tuple[float, bool]:
                 kernel.promote_region(proc, (vma.start >> 9) + a)
             elif kind == "demote":
                 hvpn = (vma.start >> 9) + a
-                if hvpn in proc.page_table.huge:
+                if proc.page_table.huge_frame_of(hvpn) >= 0:
                     kernel.demote_region(proc, hvpn)
     except OutOfMemoryError:
         return total, True
@@ -126,11 +127,10 @@ def _apply(kernel, proc, ops, batched) -> tuple[float, bool]:
 def _snapshot(kernel, proc) -> dict:
     pt = proc.page_table
     return {
-        "base": {
-            vpn: (p.frame, p.accessed, p.dirty, p.shared_zero, p.shared_cow)
-            for vpn, p in pt.base.items()
-        },
-        "huge": {h: (p.frame, p.accessed, p.dirty) for h, p in pt.huge.items()},
+        "base": base_entries(pt),
+        "huge": huge_entries(pt),
+        "map_order": (pt.base_in_map_order()[0].tolist(),
+                      pt.huge_in_map_order().tolist()),
         "zero_lists": [list(d) for d in kernel.buddy._zero],
         "nonzero_lists": [list(d) for d in kernel.buddy._nonzero],
         "free_pages": kernel.buddy.free_pages,

@@ -22,7 +22,9 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import LinuxTHPPolicy
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED, SHARED_COW, SHARED_ZERO
 from repro.vm.process import Process
+from tests.pt_check import base_entries, check_page_tables, huge_entries, private_count
 
 
 class KernelMachine(RuleBasedStateMachine):
@@ -53,13 +55,13 @@ class KernelMachine(RuleBasedStateMachine):
     @rule(region=st.integers(0, 7))
     def demote(self, region):
         hvpn = (self.vma.start >> 9) + region
-        if hvpn in self.proc.page_table.huge:
+        if self.proc.page_table.huge_frame_of(hvpn) >= 0:
             self.kernel.demote_region(self.proc, hvpn)
 
     @rule(region=st.integers(0, 7))
     def dedup(self, region):
         hvpn = (self.vma.start >> 9) + region
-        if hvpn not in self.proc.page_table.huge:
+        if self.proc.page_table.huge_frame_of(hvpn) < 0:
             self.kernel.dedup_zero_pages(self.proc, hvpn)
 
     @rule(offset=st.integers(0, 4095))
@@ -67,18 +69,18 @@ class KernelMachine(RuleBasedStateMachine):
         translated = self.proc.page_table.translate(self.vma.start + offset)
         if translated is not None:
             frame, huge = translated
-            pte = self.proc.page_table.base.get(self.vma.start + offset)
-            if pte is not None and not pte.private:
+            if self.proc.page_table.flags_of(self.vma.start + offset) & SHARED:
                 return  # writes to shared pages go through fault()
             self.kernel.frames.write(frame, first_nonzero=offset % 4096)
 
     @rule(offset=st.integers(0, 4095), tag=st.integers(1, 4))
     def write_duplicate_content(self, offset, tag):
         """Give pages one of a few shared tags so ksm finds duplicates."""
-        pte = self.proc.page_table.base.get(self.vma.start + offset)
-        if pte is None or not pte.private:
+        pt = self.proc.page_table
+        frame = pt.frame_of(self.vma.start + offset)
+        if frame < 0 or pt.flags_of(self.vma.start + offset) & SHARED:
             return
-        self.kernel.frames.write(pte.frame, first_nonzero=0, tag=1_000_000 + tag)
+        self.kernel.frames.write(frame, first_nonzero=0, tag=1_000_000 + tag)
 
     @rule()
     def ksm_pass(self):
@@ -95,22 +97,22 @@ class KernelMachine(RuleBasedStateMachine):
         zero_frame = self.kernel.zero_registry.zero_frame
         seen: set[int] = set()
         shared_seen: dict[int, int] = {}
-        for vpn, pte in pt.base.items():
-            if pte.shared_zero:
-                assert pte.frame == zero_frame
+        for vpn, (frame, flags) in base_entries(pt).items():
+            if flags & SHARED_ZERO:
+                assert frame == zero_frame
                 continue
-            assert frames.allocated[pte.frame], f"vpn {vpn} maps a free frame"
-            if pte.shared_cow:
-                shared_seen[pte.frame] = shared_seen.get(pte.frame, 0) + 1
+            assert frames.allocated[frame], f"vpn {vpn} maps a free frame"
+            if flags & SHARED_COW:
+                shared_seen[frame] = shared_seen.get(frame, 0) + 1
                 continue
-            assert pte.frame not in seen
-            seen.add(pte.frame)
-        for hvpn, hpte in pt.huge.items():
-            assert hpte.frame % PAGES_PER_HUGE == 0
+            assert frame not in seen
+            seen.add(frame)
+        for hvpn, (hframe, _) in huge_entries(pt).items():
+            assert hframe % PAGES_PER_HUGE == 0
             for i in range(PAGES_PER_HUGE):
-                assert frames.allocated[hpte.frame + i]
-                assert hpte.frame + i not in seen
-                seen.add(hpte.frame + i)
+                assert frames.allocated[hframe + i]
+                assert hframe + i not in seen
+                seen.add(hframe + i)
         # private frames never alias shared canonicals, and sharer counts
         # never exceed the registry's refcounts
         registry = self.kernel.cow_registry
@@ -120,11 +122,15 @@ class KernelMachine(RuleBasedStateMachine):
             assert frames.pinned[frame]
 
     @invariant()
+    def page_tables_consistent(self):
+        check_page_tables(self.kernel)
+
+    @invariant()
     def region_residency_matches(self):
         pt = self.proc.page_table
         for hvpn, region in self.proc.regions.items():
             if region.is_huge:
-                assert hvpn in pt.huge
+                assert pt.huge_frame_of(hvpn) >= 0
                 assert region.resident == PAGES_PER_HUGE
             else:
                 actual = len(pt.region_base_vpns(hvpn))
@@ -133,9 +139,7 @@ class KernelMachine(RuleBasedStateMachine):
     @invariant()
     def physical_conservation(self):
         pt = self.proc.page_table
-        mapped = sum(
-            1 for pte in pt.base.values() if pte.private
-        ) + len(pt.huge) * PAGES_PER_HUGE
+        mapped = private_count(pt) + pt.huge_count * PAGES_PER_HUGE
         # + reserved zero frame + ksm canonical frames
         overhead = 1 + len(self.kernel.cow_registry.refcount)
         assert self.kernel.frames.allocated_count() == mapped + overhead

@@ -3,7 +3,7 @@
 ``HugePageLimits`` keeps one counter cell per group, charged by the page
 table wherever a member's huge-mapping count changes.  The oracle here is
 the definition those cells replace: a group holds the summed
-``len(page_table.huge)`` of every live process whose name starts with
+count of huge-mapped regions of every live process whose name starts with
 its prefix, and a process may receive one more huge page unless its own
 cap or one of its groups' caps is reached.
 
@@ -47,7 +47,7 @@ class Idle(Workload):
 
 def rescan_verdict(kernel, caps, group_caps, proc) -> bool:
     """``may_promote`` by definition: rescan every live process."""
-    huge = len(proc.page_table.huge)
+    huge = proc.page_table.huge_hvpns().size
     if proc.name in caps:
         cap = caps[proc.name]
     else:
@@ -64,7 +64,7 @@ def rescan_verdict(kernel, caps, group_caps, proc) -> bool:
 
 
 def rescan_held(kernel, prefix: str) -> int:
-    return sum(len(q.page_table.huge) for q in kernel.processes
+    return sum(q.page_table.huge_hvpns().size for q in kernel.processes
                if q.name.startswith(prefix))
 
 
@@ -138,7 +138,7 @@ class GroupLimitMachine(RuleBasedStateMachine):
     def demote(self, idx, region):
         proc = self._pick(idx).proc
         hvpn = (self.kernel.find_vma(proc, "heap").start >> 9) + region
-        if hvpn in proc.page_table.huge:
+        if proc.page_table.huge_frame_of(hvpn) >= 0:
             self.kernel.demote_region(proc, hvpn)
 
     @precondition(lambda self: self.runs)

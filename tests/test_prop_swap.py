@@ -14,7 +14,9 @@ from repro.kernel.kernel import Kernel, KernelConfig
 from repro.policies.linux import LinuxTHPPolicy
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_ZERO
 from repro.vm.process import Process
+from tests.pt_check import base_entries, huge_entries
 
 
 class SwapKernelMachine(RuleBasedStateMachine):
@@ -54,14 +56,15 @@ class SwapKernelMachine(RuleBasedStateMachine):
     def no_page_both_resident_and_swapped(self):
         pt = self.proc.page_table
         swapped_vpns = {v for _, v in self.kernel.swap.swapped}
-        assert not (swapped_vpns & set(pt.base)), "page mapped AND swapped"
+        assert not (swapped_vpns & set(pt.base_vpns().tolist())), \
+            "page mapped AND swapped"
 
     @invariant()
     def conservation_with_swap(self):
         pt = self.proc.page_table
         mapped = sum(
-            1 for pte in pt.base.values() if not pte.shared_zero
-        ) + len(pt.huge) * PAGES_PER_HUGE
+            1 for _, flags in base_entries(pt).values() if not flags & SHARED_ZERO
+        ) + len(huge_entries(pt)) * PAGES_PER_HUGE
         kernel = self.kernel
         assert kernel.frames.allocated_count() == mapped + 1  # + zero frame
         assert kernel.buddy.free_pages + mapped + 1 == kernel.buddy.total_pages

@@ -30,8 +30,10 @@ from repro.numa.mempolicy import MemPolicy, MemPolicyKind
 from repro.numa.topology import NumaTopology
 from repro.tlb.perf import PMUCounters
 from repro.units import MB, PAGES_PER_HUGE, SEC
+from repro.vm.page_table import SHARED
 from repro.vm.process import Process
 from repro.workloads.base import AccessProfile, RegionAccessSpec
+from tests.pt_check import base_entries, check_page_tables, huge_entries
 
 
 def _build(vectorized: bool, nodes: int = 1, balance: bool = False):
@@ -79,7 +81,7 @@ class TwinMachine(RuleBasedStateMachine):
     def demote(self, region):
         for kernel, proc, vma in self.twins:
             hvpn = (vma.start >> 9) + region
-            if hvpn in proc.page_table.huge:
+            if proc.page_table.huge_frame_of(hvpn) >= 0:
                 kernel.demote_region(proc, hvpn)
 
     @rule(cov_hot=st.integers(0, 600), cov_cold=st.integers(0, 600),
@@ -105,30 +107,19 @@ class TwinMachine(RuleBasedStateMachine):
     def translations_identical(self):
         (_, p0, _), (_, p1, _) = self.twins
         pt0, pt1 = p0.page_table, p1.page_table
-        assert {v: (e.frame, e.shared_zero, e.shared_cow)
-                for v, e in pt0.base.items()} == \
-               {v: (e.frame, e.shared_zero, e.shared_cow)
-                for v, e in pt1.base.items()}
-        assert {h: e.frame for h, e in pt0.huge.items()} == \
-               {h: e.frame for h, e in pt1.huge.items()}
+        assert {v: (frame, flags & SHARED)
+                for v, (frame, flags) in base_entries(pt0).items()} == \
+               {v: (frame, flags & SHARED)
+                for v, (frame, flags) in base_entries(pt1).items()}
+        assert {h: e[0] for h, e in huge_entries(pt0).items()} == \
+               {h: e[0] for h, e in huge_entries(pt1).items()}
+        assert pt0.base_in_map_order()[0].tolist() == \
+               pt1.base_in_map_order()[0].tolist()
 
     @invariant()
-    def mirrors_match_dicts(self):
-        import numpy as np
-
-        for _kernel, proc, _vma in self.twins:
-            pt = proc.page_table
-            mapped = np.nonzero(pt._mframe >= 0)[0]
-            assert set(mapped.tolist()) == set(pt.base)
-            for vpn, pte in pt.base.items():
-                assert pt._mframe[vpn] == pte.frame
-                assert bool(pt._mpriv[vpn]) == pte.private
-            assert int(pt._mpriv.sum()) == sum(
-                1 for pte in pt.base.values() if pte.private)
-            hmapped = np.nonzero(pt._mhuge >= 0)[0]
-            assert set(hmapped.tolist()) == set(pt.huge)
-            for hvpn, pte in pt.huge.items():
-                assert pt._mhuge[hvpn] == pte.frame
+    def page_tables_consistent(self):
+        for kernel, _proc, _vma in self.twins:
+            check_page_tables(kernel)
 
     @invariant()
     def regions_identical(self):

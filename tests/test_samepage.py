@@ -4,6 +4,7 @@ import pytest
 
 from repro.mem.samepage import CowShareRegistry, SamePageMerger
 from repro.units import MB, PAGES_PER_HUGE
+from repro.vm.page_table import SHARED_COW
 from tests.test_fault import make_proc
 
 
@@ -74,16 +75,15 @@ class TestCowBreak:
         merger = merger_for(kernel4k)
         for _ in range(3):
             merger.run_epoch()
-        shared_pte = next(
-            pte for pte in b.page_table.base.values() if pte.shared_cow
-        )
-        vpn = next(v for v, p in b.page_table.base.items() if p is shared_pte)
+        pt = b.page_table
+        vpn = next(v for v in pt.base_vpns().tolist()
+                   if pt.flags_of(v) & SHARED_COW)
         latency = kernel4k.fault(b, vpn)
         assert latency == pytest.approx(kernel4k.costs.cow_fault_us)
-        assert not shared_pte.shared_cow
+        assert not pt.flags_of(vpn) & SHARED_COW
         assert b.stats.cow_faults == 1
         # the content followed the copy
-        assert kernel4k.frames.content_tag[shared_pte.frame] == 9
+        assert kernel4k.frames.content_tag[pt.frame_of(vpn)] == 9
 
     def test_last_unshare_frees_canonical(self, kernel4k):
         a, vma_a = touched_proc(kernel4k, npages=4, tag=5, name="a")
@@ -122,11 +122,11 @@ class TestInteractions:
         merger = merger_for(kernel4k)
         for _ in range(4):
             merger.run_epoch()
-        assert any(p.shared_cow for p in b.page_table.base.values())
+        pt = b.page_table
+        assert any(pt.flags_of(v) & SHARED_COW for v in pt.base_vpns().tolist())
         cost = kernel4k.promote_region(b, vma_b.start >> 9)
         assert cost is not None
-        huge_pte = b.page_table.huge[vma_b.start >> 9]
-        assert kernel4k.frames.content_tag[huge_pte.frame] == 3
+        assert kernel4k.frames.content_tag[pt.huge_frame_of(vma_b.start >> 9)] == 3
         # a's mappings survived b's collapse
         assert a.page_table.is_mapped(vma_a.start)
 
